@@ -38,7 +38,7 @@ from .linalg import spanning_tree_count
 from .sequences import ADJACENCY, EQUAL, LAPLACIAN, select_lex_minima
 
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -145,7 +145,6 @@ class Certificate:
 class RunConfig:
     worker_count: int = 1
     caps: Caps = field(default_factory=Caps)
-    output_path: Optional[str] = None
     format: str = TEXT
 
 
@@ -267,16 +266,11 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
     }
     if n >= 5 and m == n * (n - 5) // 2 and cand_form == canonical_form(h_family(n)):
         extra["note"] = H_FAMILY_NOTE
-    if cand_t == tmax:
-        cert = Certificate("verify-t-optimal", stream.spec, cand_form, VERIFIED,
-                           winners, (), EXHAUSTIVE, len(stream), _elapsed_ms(t0),
-                           extra=extra)
-    else:
-        witnesses = tuple(Witness(w, None, str(tmax), str(cand_t)) for w in winners)
-        cert = Certificate("verify-t-optimal", stream.spec, cand_form, REFUTED,
-                           winners, witnesses, EXHAUSTIVE, len(stream),
-                           _elapsed_ms(t0), extra=extra)
-    return _check_invariants(cert)
+    witnesses = () if cand_t == tmax else tuple(
+        Witness(w, None, str(tmax), str(cand_t)) for w in winners)
+    return _check_invariants(Certificate(
+        "verify-t-optimal", stream.spec, cand_form, REFUTED if witnesses else VERIFIED,
+        winners, witnesses, EXHAUSTIVE, len(stream), _elapsed_ms(t0), extra=extra))
 
 
 def cmd_check_duality(n: int, d: int, config: RunConfig | None = None) -> Certificate:

@@ -57,8 +57,7 @@ def _config(ns) -> RunConfig:
     if workers < 1:
         raise ValueError("--workers must be positive")
     fmt = STRUCTURED if ns.format == "structured" else TEXT
-    return RunConfig(worker_count=workers, caps=Caps(override=ns.caps_override),
-                     output_path=getattr(ns, "out", None), format=fmt)
+    return RunConfig(worker_count=workers, caps=Caps(override=ns.caps_override), format=fmt)
 
 
 def _emit_payload(config: RunConfig, payload: dict, text: str) -> None:

@@ -1,10 +1,13 @@
 """Isomorph-free enumeration of small graph classes, exact at desk scale.
 
-Two orderly generators share one canonicity convention (row-major adjacency
-code, maximal over relabelings): fixed edge count classes grow edge by edge,
+One canonical convention serves the whole package: the row-major adjacency
+code, maximal over relabelings (row i holds the bits ij for j > i, j = i+1
+first, and codes compare row by row). Two orderly generators emit exactly
+the relabelings that attain it: fixed edge count classes grow edge by edge,
 regular classes grow row by row with packed cells. Each isomorphism class is
-produced from exactly one labeled representative, so no post-hoc isomorphism
-filtering happens. Public emission order is ascending canonical graph6.
+produced once, already in canonical form, so members need no post-hoc
+isomorphism filtering or relabeling; `canonical_relabel` maps outside input
+to the same form. Public emission order is ascending canonical graph6.
 
 Caps keep runs at desk scale: regular classes to n = 10 (12 with override),
 edge-count sweeps to n = 8 (9 with override). The canonical form itself is
@@ -18,7 +21,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapsExceededError, UnsupportedSizeError
 from .graphs import Graph, degree_info, to_graph6
@@ -78,71 +81,86 @@ class IsoClassStream:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (public): least column-major bit string over relabelings
+# canonical form: row-major adjacency code, maximal over relabelings
+
+def _row_vals(n: int, adj: Sequence[int]) -> list[int]:
+    return [sum((adj[i] >> j & 1) << (n - 1 - j) for j in range(i + 1, n))
+            for i in range(n)]
+
 
 def canonical_relabel(g: Graph) -> Graph:
-    """The relabeling of g whose graph6 bit string is lexicographically least.
+    """The relabeling of g with the largest row-major code.
 
-    Breadth-first over prefix-optimal placements with twin merging. Twin-free
-    vertex-transitive graphs (long cycles, say) keep many optimal prefixes
-    alive, so close to the 16-vertex cap those can take seconds; everything
-    the enumerators emit (n <= 12) is far from that regime.
+    Enumerator members are fixed points. The search is the one `_beaten`
+    runs: the next label goes to a vertex of the first cell, its neighbours
+    are packed first inside each cell and ties refine the cells. Only the
+    candidates with the largest row value go deeper, twins (adjacent or not)
+    are tried once, and a prefix below the best complete code is dropped. A
+    leaf equal to the best one differs from it by an automorphism fixing
+    their common prefix, so the search backs up to where their paths part.
     """
     n = g.n
     if n > CANONICAL_HARD_CAP:
         raise UnsupportedSizeError(f"canonical form capped at {CANONICAL_HARD_CAP} vertices")
-    if n == 1:
-        return g
     adj = g.rows
-    # frontier of placements realizing the least code prefix so far
-    frontier: list[tuple[int, ...]] = [()]
-    for t in range(n):
-        best_val = None
-        nxt: list[tuple[int, ...]] = []
-        for placed in frontier:
-            used = 0
-            for v in placed:
-                used |= 1 << v
-            reps: list[int] = []
-            for v in range(n):
-                if used >> v & 1:
-                    continue
-                # twins (adjacent or not) extend the code identically: keep one
-                if any((adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)) == 0
-                       for u in reps):
-                    continue
-                reps.append(v)
-                val = 0
-                for w in placed:
-                    val = val << 1 | (adj[v] >> w & 1)
-                if best_val is None or val < best_val:
-                    best_val = val
-                    nxt = [placed + (v,)]
-                elif val == best_val:
-                    nxt.append(placed + (v,))
-        frontier = nxt
-    placed = frontier[0]
+    best_code: tuple = ()
+    best_path: tuple = ()
+
+    def dfs(cells: list[list[int]], code: tuple, path: tuple) -> int:
+        # returns the level to go on from: n carries on, less backs up
+        nonlocal best_code, best_path
+        level = len(path)
+        if level == n:
+            if code == best_code:
+                return next(i for i in range(n) if path[i] != best_path[i])
+            best_code, best_path = code, path
+            return n
+        options = []
+        reps: list[int] = []
+        for v in cells[0]:
+            if any((adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)) == 0 for u in reps):
+                continue
+            reps.append(v)
+            row = adj[v]
+            val = 0
+            split: list[list[int]] = []
+            for cell in cells:
+                nb, rest = [], []
+                for w in cell:
+                    if w == v:
+                        continue
+                    (nb if row >> w & 1 else rest).append(w)
+                val = (val << (len(nb) + len(rest))) | (((1 << len(nb)) - 1) << len(rest))
+                if nb:
+                    split.append(nb)
+                if rest:
+                    split.append(rest)
+            options.append((val, v, split))
+        top = max(val for val, _, _ in options)
+        code += (top,)
+        if code < best_code[:level + 1]:
+            return n
+        for val, v, split in options:
+            if val == top:
+                back = dfs(split, code, path + (v,))
+                if back < level:
+                    return back
+        return n
+
+    dfs([list(range(n))], (), ())
     perm = [0] * n
-    for new, old in enumerate(placed):
+    for new, old in enumerate(best_path):
         perm[old] = new
     return g.relabel(perm)
 
 
 def canonical_form(g: Graph) -> str:
-    """Relabeling-invariant key: graph6 of the least-code relabeling."""
+    """Relabeling-invariant key: graph6 of the largest-code relabeling."""
     return to_graph6(canonical_relabel(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
-
-
-# ---------------------------------------------------------------------------
-# internal canonicity: row-major code, maximal convention
-
-def _row_vals(n: int, adj: Sequence[int]) -> list[int]:
-    return [sum((adj[i] >> j & 1) << (n - 1 - j) for j in range(i + 1, n))
-            for i in range(n)]
 
 
 def _beaten(n: int, adj: Sequence[int], rowvals: Sequence[int], depth: int,
@@ -368,22 +386,49 @@ def _regular_worker(args):
 # ---------------------------------------------------------------------------
 # drivers
 
-def _run_partitioned(states, worker, workers: int) -> list:
-    """Map worker over search-tree states; merge preserves state order."""
-    if workers <= 1 or len(states) <= 1:
-        chunks = [worker(s) for s in states]
+def _run_partitioned(tasks: list, worker: Callable, workers: int) -> Iterator[list]:
+    """Map worker over search-tree tasks, yielding results in task order as they land."""
+    if workers <= 1 or len(tasks) <= 1:
+        yield from map(worker, tasks)
     else:
         with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(worker, states, chunksize=1)
-    out = []
-    for c in chunks:
-        out.extend(c)
-    return out
+            yield from pool.imap(worker, tasks, chunksize=1)
 
 
-def _finalize(spec: GraphClassSpec, n: int, labeled: list[tuple[int, ...]],
-              warning: str | None = None) -> IsoClassStream:
-    graphs = [canonical_relabel(Graph(n, adj)) for adj in labeled]
+def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, Callable, str | None]:
+    """Check a class spec against its ranges and caps, then split its search:
+    (subtree tasks, in an order that never depends on the worker count, the
+    worker expanding one task into labeled members, empty-class warning)."""
+    n, d, m = spec.n, spec.d, spec.m
+    override = " (override active)" if caps.override else ""
+    if spec.kind == "regular":
+        if n < 1 or d is None or not 0 <= d <= n - 1:
+            raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n} d={d}")
+        if n > caps.regular_limit:
+            raise CapsExceededError(f"regular enumeration capped at n = {caps.regular_limit}"
+                                    f"{override}, requested n = {n}")
+        if (n * d) % 2:
+            return [], _regular_worker, "odd degree sum: class is empty"
+        depth = 2 if n >= 8 else 1
+        return ([(n, d, k, adj, cells) for k, adj, cells in _regular_states(n, d, depth)],
+                _regular_worker, None)
+    if spec.kind == "edges":
+        maxm = n * (n - 1) // 2
+        if n < 1 or m is None or not 0 <= m <= maxm:
+            raise ValueError(f"need n >= 1 and 0 <= m <= {maxm}, got n={n} m={m}")
+        if n > caps.edges_limit:
+            raise CapsExceededError(f"edge-count enumeration capped at n = {caps.edges_limit}"
+                                    f"{override}, requested n = {n}")
+        return ([(n, m, adj, last, edges) for adj, last, edges in _edges_states(n, m, min(m, 3))],
+                _edges_worker, None)
+    raise ValueError(f"unknown class kind {spec.kind!r}")
+
+
+def _enumerate(spec: GraphClassSpec, caps: Caps | None, workers: int) -> IsoClassStream:
+    tasks, worker, warning = _class_tasks(spec, caps or Caps())
+    # generator output is canonical already
+    graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, worker, workers)
+              for adj in labeled]
     graphs.sort(key=to_graph6)
     return IsoClassStream(spec, graphs, warning)
 
@@ -395,41 +440,13 @@ def enumerate_regular(n: int, d: int, caps: Caps | None = None,
     Odd n*d is not an error: the stream is empty and carries a parity
     warning flag.
     """
-    caps = caps or Caps()
-    if n < 1 or not 0 <= d <= n - 1:
-        raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n} d={d}")
-    if n > caps.regular_limit:
-        raise CapsExceededError(
-            f"regular enumeration capped at n = {caps.regular_limit}"
-            f"{' (override active)' if caps.override else ''}, requested n = {n}")
-    spec = GraphClassSpec("regular", n, d=d)
-    if (n * d) % 2:
-        return IsoClassStream(spec, [], warning="odd degree sum: class is empty")
-    if n == 1:
-        return IsoClassStream(spec, [Graph(1, (0,))])
-    depth = 2 if n >= 8 else 1
-    states = _regular_states(n, d, depth)
-    tasks = [(n, d, k, adj, cells) for k, adj, cells in states]
-    labeled = _run_partitioned(tasks, _regular_worker, workers)
-    return _finalize(spec, n, labeled)
+    return _enumerate(GraphClassSpec("regular", n, d=d), caps, workers)
 
 
 def enumerate_by_edges(n: int, m: int, caps: Caps | None = None,
                        workers: int = 1) -> IsoClassStream:
     """All graphs on n vertices with exactly m edges, up to isomorphism."""
-    caps = caps or Caps()
-    maxm = n * (n - 1) // 2
-    if n < 1 or not 0 <= m <= maxm:
-        raise ValueError(f"need n >= 1 and 0 <= m <= {maxm}, got n={n} m={m}")
-    if n > caps.edges_limit:
-        raise CapsExceededError(
-            f"edge-count enumeration capped at n = {caps.edges_limit}"
-            f"{' (override active)' if caps.override else ''}, requested n = {n}")
-    spec = GraphClassSpec("edges", n, m=m)
-    depth = min(m, 3)
-    states = [(n, m, adj, last, edges) for adj, last, edges in _edges_states(n, m, depth)]
-    labeled = _run_partitioned(states, _edges_worker, workers)
-    return _finalize(spec, n, labeled)
+    return _enumerate(GraphClassSpec("edges", n, m=m), caps, workers)
 
 
 def enumerate_almost_regular(n: int, m: int, caps: Caps | None = None,
@@ -484,6 +501,37 @@ def tau_min(n: int, d: int, caps: Caps | None = None,
 # ---------------------------------------------------------------------------
 # spooling with a resumable checkpoint
 
+def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
+    """Finished tasks in the checkpoint an interrupted run left behind.
+
+    A final record without its newline was cut off mid-write: it is dropped
+    and its task runs again. A checkpoint for another class, or with any
+    other unreadable line, is discarded. The file is cut back to the lines
+    kept, which leaves it empty when none are.
+    """
+    try:
+        with open(ck_path, "rb") as fh:
+            lines = fh.read().split(b"\n")[:-1]  # what follows the last newline is torn
+    except FileNotFoundError:
+        return {}
+    done: dict[int, list[str]] = {}
+    try:
+        if lines and json.loads(lines[0]) != header:
+            raise ValueError("checkpoint of another class")
+        for ln in lines[1:]:
+            rec = json.loads(ln)
+            task, forms = rec["task"], rec["graphs"]
+            # forms must be a sorted list of strings
+            if type(task) is not int or not 0 <= task < ntasks or forms != sorted(map(str, forms)):
+                raise ValueError("bad checkpoint record")
+            done[task] = forms
+    except (KeyError, TypeError, ValueError):
+        done, lines = {}, []
+    with open(ck_path, "r+b") as fh:
+        fh.truncate(sum(len(ln) + 1 for ln in lines))
+    return done
+
+
 def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
                 workers: int = 1) -> int:
     """Write one canonical graph6 line per class member to `path`.
@@ -492,70 +540,25 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
     `path.checkpoint` as they complete, so a rerun after an interruption
     only runs what is missing. Returns the class size.
     """
-    caps = caps or Caps()
-    if spec.kind == "regular":
-        if spec.n > caps.regular_limit:
-            raise CapsExceededError(f"regular enumeration capped at n = {caps.regular_limit}")
-        if (spec.n * spec.d) % 2 or spec.n == 1:
-            stream = enumerate_regular(spec.n, spec.d, caps, workers)
-            tasks = []
-        else:
-            depth = 2 if spec.n >= 8 else 1
-            tasks = [(spec.n, spec.d, k, adj, cells)
-                     for k, adj, cells in _regular_states(spec.n, spec.d, depth)]
-            stream = None
-        worker = _regular_worker
-    elif spec.kind == "edges":
-        if spec.n > caps.edges_limit:
-            raise CapsExceededError(f"edge-count enumeration capped at n = {caps.edges_limit}")
-        depth = min(spec.m, 3)
-        tasks = [(spec.n, spec.m, adj, last, edges)
-                 for adj, last, edges in _edges_states(spec.n, spec.m, depth)]
-        stream = None
-        worker = _edges_worker
-    else:
-        raise ValueError(f"unknown class kind {spec.kind!r}")
-
+    tasks, worker, _ = _class_tasks(spec, caps or Caps())
     ck_path = path + ".checkpoint"
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
-    done: dict[int, list[str]] = {}
-    if os.path.exists(ck_path):
-        with open(ck_path) as fh:
-            lines = fh.read().splitlines()
-        if lines and json.loads(lines[0]) == header:
-            for ln in lines[1:]:
-                rec = json.loads(ln)
-                done[rec["task"]] = rec["graphs"]
-        else:
-            os.remove(ck_path)
+    done = _resume(ck_path, header, len(tasks))
 
     with open(ck_path, "a") as ck:
-        if not done and os.path.getsize(ck_path) == 0:
+        if os.path.getsize(ck_path) == 0:
             ck.write(json.dumps(header, sort_keys=True) + "\n")
             ck.flush()
-        pending = [(i, t) for i, t in enumerate(tasks) if i not in done]
-
-        def record(i: int, labeled) -> None:
+        pending = [i for i in range(len(tasks)) if i not in done]
+        results = _run_partitioned([tasks[i] for i in pending], worker, workers)
+        for i, labeled in zip(pending, results, strict=True):
             # write as soon as a task lands so interruptions lose only it
-            forms = sorted(to_graph6(canonical_relabel(Graph(spec.n, adj)))
-                           for adj in labeled)
+            forms = sorted(to_graph6(Graph(spec.n, adj)) for adj in labeled)
             done[i] = forms
             ck.write(json.dumps({"task": i, "graphs": forms}, sort_keys=True) + "\n")
             ck.flush()
 
-        if workers > 1 and len(pending) > 1:
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.imap(worker, [t for _, t in pending], chunksize=1)
-                for (i, _), labeled in zip(pending, results):
-                    record(i, labeled)
-        else:
-            for i, t in pending:
-                record(i, worker(t))
-
-    if stream is not None:
-        forms = [to_graph6(g) for g in stream]
-    else:
-        forms = sorted(f for chunk in done.values() for f in chunk)
+    forms = sorted(f for chunk in done.values() for f in chunk)
     with open(path, "w") as fh:
         for f in forms:
             fh.write(f + "\n")

@@ -155,7 +155,7 @@ def test_payload_shape_and_worker_independence():
     payload = json.loads(texts[0])
     assert "worker" not in texts[0]
     assert payload["class_size"] == "2"  # integers travel as decimal strings
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     raw = cmd_check_duality(6, 2).to_json()
     assert raw.endswith("\n") and raw.startswith("{\n")  # indented, trailing newline
     assert "elapsed_ms" in json.loads(raw)

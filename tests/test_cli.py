@@ -32,7 +32,7 @@ def test_count_structured(capsys):
     assert main(["count", "--format", "structured", "--g6", g6_k33]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["t"] == "81" and payload["n"] == "6"
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["tool_version"] == "0.1.0"
 
 
@@ -120,6 +120,19 @@ def test_enumerate_spool(tmp_path, capsys):
     assert not (tmp_path / "r38.g6.checkpoint").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--class", "r", "--n", "6", "--d", "9"],
+    ["--class", "s", "--n", "5", "--m", "20"],
+    ["--class", "s", "--n", "5", "--m", "-1"],
+])
+def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "f.g6"
+    assert main(["enumerate", *args]) == 2
+    assert main(["enumerate", *args, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("TREEOPT_WORKERS", "2")
     assert main(["count", "--g6", g6_k33]) == 0
@@ -187,7 +200,7 @@ def test_report_text_and_structured(capsys):
     assert main(["report", "--n", "6", "--m", "9"]) == 0
     out = capsys.readouterr().out
     assert "rank  t  graph6" in out
-    assert f"   1  81  {g6_k33}  regular" in out
+    assert f"   1  81  {canonical_form(complete_bipartite(3, 3))}  regular" in out
 
     assert main(["report", "--n", "6", "--m", "9", "--format", "structured"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -16,6 +17,7 @@ from treeopt.graphs import (
     degree_info,
     disjoint_union,
     empty_graph,
+    from_graph6,
     path_graph,
     to_graph6,
 )
@@ -85,6 +87,51 @@ def test_are_isomorphic():
     assert are_isomorphic(path_graph(4), path_graph(4).relabel([3, 1, 0, 2]))
     assert not are_isomorphic(path_graph(4), cycle_graph(4))
     assert not are_isomorphic(path_graph(4), path_graph(5))
+
+
+def _row_code(g):
+    return [sum((g.rows[i] >> j & 1) << (g.n - 1 - j) for j in range(i + 1, g.n))
+            for i in range(g.n)]
+
+
+@settings(max_examples=60)
+@given(small_graphs(max_n=6))
+def test_canonical_relabel_has_the_largest_row_code(g):
+    # brute force over all n! relabelings
+    best = max(_row_code(g.relabel(p)) for p in permutations(range(g.n)))
+    assert _row_code(canonical_relabel(g)) == best
+
+
+def test_enumerator_members_are_fixed_points():
+    members = [g for n in range(1, 7) for m in range(n * (n - 1) // 2 + 1)
+               for g in enumerate_by_edges(n, m)]
+    members += enumerate_regular(8, 3).graphs + enumerate_regular(10, 3).graphs
+    assert len(members) == sum(sum(burnside_counts(n)) for n in range(1, 7)) + 6 + 21
+    for g in members:
+        assert canonical_relabel(g) == g, to_graph6(g)
+
+
+def _hypercube(k):
+    n = 1 << k
+    return Graph.from_edges(n, [(u, u | 1 << b) for u in range(n) for b in range(k)
+                                if not u >> b & 1])
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(16),
+    disjoint_union(cycle_graph(8), cycle_graph(8)),
+    _hypercube(4),
+    Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)]),
+    empty_graph(16),
+], ids=["C16", "2C8", "Q4", "8K2", "E16"])
+def test_canonical_form_is_relabeling_invariant_at_the_cap(g):
+    rnd = random.Random(g.m)
+    form = canonical_form(g)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == form
+    assert canonical_relabel(from_graph6(form)) == from_graph6(form)
 
 
 def test_canonical_hard_cap():
@@ -280,6 +327,51 @@ def test_spool_resumes_from_checkpoint(tmp_path, monkeypatch):
     assert len(calls) == full_runs - 1  # the finished task was not recomputed
     assert _spool_forms(out2) == baseline
     assert not (tmp_path / "s67b.g6.checkpoint").exists()
+
+
+def test_spool_resumes_from_a_torn_checkpoint(tmp_path, monkeypatch):
+    import treeopt.enumeration as enum
+
+    spec = GraphClassSpec("edges", 6, m=7)
+    out = tmp_path / "s67.g6"
+    ck = tmp_path / "s67.g6.checkpoint"
+    with monkeypatch.context() as mp:
+        mp.setattr(enum.os, "remove", lambda path: None)  # keep the finished checkpoint
+        spool_class(spec, str(out))
+    clean = out.read_bytes()
+    full = ck.read_bytes()
+    ntasks = full.count(b"\n") - 1
+    assert ntasks >= 2
+    real_worker = enum._edges_worker
+    calls = []
+
+    def counting(task):
+        calls.append(task)
+        return real_worker(task)
+
+    monkeypatch.setattr(enum, "_edges_worker", counting)
+    for cut in range(len(full) + 1):
+        out.unlink(missing_ok=True)
+        ck.write_bytes(full[:cut])
+        calls.clear()
+        spool_class(spec, str(out))
+        assert out.read_bytes() == clean, cut
+        assert not ck.exists()
+        # only the tasks whose records were not complete run again
+        finished = max(full[:cut].count(b"\n") - 1, 0)
+        assert len(calls) == ntasks - finished, cut
+
+
+def test_spool_discards_unreadable_checkpoint(tmp_path):
+    spec = GraphClassSpec("regular", 6, d=2)
+    out = tmp_path / "r.g6"
+    ck = tmp_path / "r.g6.checkpoint"
+    header = json.dumps({"spec": spec.to_dict(), "tasks": 1}, sort_keys=True)
+    for junk in ["not json", json.dumps({"task": 5, "graphs": []}),
+                 json.dumps({"task": 0, "graphs": ["b", "a"]}), json.dumps([0])]:
+        ck.write_text(header + "\n" + junk + "\n")
+        assert spool_class(spec, str(out)) == 2
+        assert _spool_forms(out) == [to_graph6(g) for g in enumerate_regular(6, 2)]
 
 
 def test_spool_discards_mismatched_checkpoint(tmp_path):

@@ -167,78 +167,65 @@ def _require_regular(candidate: Graph, n: int, d: int) -> None:
         raise ValueError(f"candidate is not {d}-regular")
 
 
-def _seq_verdict(candidate: Graph, graphs: list[Graph], kind: str):
-    """Exhaustive lex comparison; returns (verified, winners, witnesses)."""
-    forms = [to_graph6(g) for g in graphs]  # stream members are canonical already
-    cand_form = canonical_form(candidate)
+def _locate(cand_form: str, graphs: list[Graph]) -> tuple[list[str], int]:
+    """Members' graph6 forms (canonical already) and the candidate's index."""
+    forms = [to_graph6(g) for g in graphs]
     if cand_form not in forms:
         raise InternalConsistencyError("candidate missing from its own class")
-    minima, records = select_lex_minima(graphs, kind)
+    return forms, forms.index(cand_form)
+
+
+def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
+                        config: RunConfig | None) -> Certificate:
+    """Is the candidate's `kind` trace sequence lex-minimal in R_d(n)?
+
+    Cheap path first: a girth certificate for the candidate in R_d(n), or,
+    for the Laplacian, for its complement in R_{n-1-d}(n), which is
+    trace-minimal there exactly when the candidate is L-trace-minimal here.
+    Either settles the verdict without any trace computation. Fallback is
+    the exhaustive sweep over R_d(n).
+    """
+    config = config or RunConfig()
+    t0 = time.perf_counter()
+    _require_regular(candidate, n, d)
+    command = "verify-trace-min" if kind == ADJACENCY else "verify-ltrace-min"
+    spec = GraphClassSpec("regular", n, d=d)
+    probe, probe_d = (candidate, d) if kind == ADJACENCY else (complement(candidate), n - 1 - d)
+    probe_stream = enumerate_regular(n, probe_d, config.caps, config.worker_count)
+    status = girth_certificate(probe, probe_stream.graphs)
+    cand_form = canonical_form(candidate)
+    if status != _GIRTH_INCONCLUSIVE:
+        extra = {"girth_certificate": status}
+        if kind == LAPLACIAN:
+            extra["certified_via"] = "complement duality"
+        # |R_d(n)| equals the complementary class size (complement bijection)
+        return _check_invariants(Certificate(
+            command, spec, cand_form, VERIFIED, (cand_form,), (), GIRTH_CERTIFICATE,
+            len(probe_stream), _elapsed_ms(t0), extra=extra))
+    stream = (probe_stream if kind == ADJACENCY
+              else enumerate_regular(n, d, config.caps, config.worker_count))
+    _, idx = _locate(cand_form, stream.graphs)
+    minima, records = select_lex_minima(stream.graphs, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
-    rec = records[forms.index(cand_form)]
-    if rec["relation"] == EQUAL:
-        return True, winners, ()
-    witnesses = tuple(
-        Witness(w, rec["divergence_index"],
-                str(rec["minimum_value"]), str(rec["value"]))
+    rec = records[idx]
+    witnesses = () if rec["relation"] == EQUAL else tuple(
+        Witness(w, rec["divergence_index"], str(rec["minimum_value"]), str(rec["value"]))
         for w in winners)
-    return False, winners, witnesses
+    return _check_invariants(Certificate(
+        command, spec, cand_form, REFUTED if witnesses else VERIFIED, winners, witnesses,
+        EXHAUSTIVE, len(stream), _elapsed_ms(t0)))
 
 
 def cmd_verify_trace_minimal(candidate: Graph, n: int, d: int,
                              config: RunConfig | None = None) -> Certificate:
-    """Is the candidate's adjacency trace sequence lex-minimal in R_d(n)?
-
-    Tries the girth certificate before paying for the exhaustive sweep.
-    """
-    config = config or RunConfig()
-    t0 = time.perf_counter()
-    _require_regular(candidate, n, d)
-    stream = enumerate_regular(n, d, config.caps, config.worker_count)
-    spec = stream.spec
-    status = girth_certificate(candidate, stream.graphs)
-    if status != _GIRTH_INCONCLUSIVE:
-        return _check_invariants(Certificate(
-            "verify-trace-min", spec, canonical_form(candidate), VERIFIED,
-            (canonical_form(candidate),), (), GIRTH_CERTIFICATE,
-            len(stream), _elapsed_ms(t0), extra={"girth_certificate": status}))
-    verified, winners, witnesses = _seq_verdict(candidate, stream.graphs, ADJACENCY)
-    return _check_invariants(Certificate(
-        "verify-trace-min", spec, canonical_form(candidate),
-        VERIFIED if verified else REFUTED, winners, witnesses, EXHAUSTIVE,
-        len(stream), _elapsed_ms(t0)))
+    """Is the candidate's adjacency trace sequence lex-minimal in R_d(n)?"""
+    return _verify_lex_minimal(ADJACENCY, candidate, n, d, config)
 
 
 def cmd_verify_l_trace_minimal(candidate: Graph, n: int, d: int,
                                config: RunConfig | None = None) -> Certificate:
-    """Laplacian analogue of cmd_verify_trace_minimal.
-
-    Cheap path first: the candidate is L-trace-minimal exactly when its
-    complement is trace-minimal in the complementary class, so a girth
-    certificate for the complement settles the verdict without any trace
-    computation. Fallback is the exhaustive Laplacian sweep over R_d(n).
-    """
-    config = config or RunConfig()
-    t0 = time.perf_counter()
-    _require_regular(candidate, n, d)
-    spec = GraphClassSpec("regular", n, d=d)
-    comp = complement(candidate)
-    comp_stream = enumerate_regular(n, n - 1 - d, config.caps, config.worker_count)
-    status = girth_certificate(comp, comp_stream.graphs)
-    if status != _GIRTH_INCONCLUSIVE:
-        # |R_d(n)| equals the complementary class size (complement bijection)
-        return _check_invariants(Certificate(
-            "verify-ltrace-min", spec, canonical_form(candidate), VERIFIED,
-            (canonical_form(candidate),), (), GIRTH_CERTIFICATE,
-            len(comp_stream), _elapsed_ms(t0),
-            extra={"girth_certificate": status,
-                   "certified_via": "complement duality"}))
-    stream = enumerate_regular(n, d, config.caps, config.worker_count)
-    verified, winners, witnesses = _seq_verdict(candidate, stream.graphs, LAPLACIAN)
-    return _check_invariants(Certificate(
-        "verify-ltrace-min", spec, canonical_form(candidate),
-        VERIFIED if verified else REFUTED, winners, witnesses, EXHAUSTIVE,
-        len(stream), _elapsed_ms(t0)))
+    """Is the candidate's Laplacian trace sequence lex-minimal in R_d(n)?"""
+    return _verify_lex_minimal(LAPLACIAN, candidate, n, d, config)
 
 
 def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
@@ -251,14 +238,12 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
     stream = enumerate_by_edges(n, m, config.caps, config.worker_count)
-    forms = [to_graph6(g) for g in stream.graphs]
     cand_form = canonical_form(candidate)
-    if cand_form not in forms:
-        raise InternalConsistencyError("candidate missing from its own class")
+    forms, idx = _locate(cand_form, stream.graphs)
     tvals = [spanning_tree_count(g) for g in stream.graphs]
     tmax = max(tvals)
     winners = tuple(sorted(f for f, t in zip(forms, tvals) if t == tmax))
-    cand_t = tvals[forms.index(cand_form)]
+    cand_t = tvals[idx]
     extra = {
         "candidate_t": str(cand_t),
         "max_t": str(tmax),
@@ -290,18 +275,13 @@ def cmd_check_duality(n: int, d: int, config: RunConfig | None = None) -> Certif
     amin, _ = select_lex_minima(a_stream.graphs, ADJACENCY)
     lset = sorted(to_graph6(g) for g in lmin)
     image = sorted(canonical_form(complement(g)) for g in amin)
-    extra = {"complement_image_of_trace_minima": image}
-    if lset == image:
-        cert = Certificate("duality", spec, None, VERIFIED, tuple(lset), (),
-                           EXHAUSTIVE, len(l_stream), _elapsed_ms(t0), extra=extra)
-    else:
-        bad = sorted(set(lset) ^ set(image))
-        witnesses = tuple(
-            Witness(f, None, "1" if f in lset else "0", "1" if f in image else "0")
-            for f in bad)
-        cert = Certificate("duality", spec, None, REFUTED, tuple(lset), witnesses,
-                           EXHAUSTIVE, len(l_stream), _elapsed_ms(t0), extra=extra)
-    return _check_invariants(cert)
+    witnesses = tuple(
+        Witness(f, None, "1" if f in lset else "0", "1" if f in image else "0")
+        for f in sorted(set(lset) ^ set(image)))
+    return _check_invariants(Certificate(
+        "duality", spec, None, REFUTED if witnesses else VERIFIED, tuple(lset), witnesses,
+        EXHAUSTIVE, len(l_stream), _elapsed_ms(t0),
+        extra={"complement_image_of_trace_minima": image}))
 
 
 def construct_summary(g: Graph) -> dict:
@@ -331,34 +311,23 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
     h_form = None
     if n >= 5 and m == n * (n - 5) // 2:
         h_form = canonical_form(h_family(n))
-    scored = []
-    for g in stream.graphs:
-        form = to_graph6(g)
-        info = degree_info(g)
-        scored.append({
-            "graph6": form,
-            "t": spanning_tree_count(g),
-            "regular": info.is_regular,
-            "almost_regular": info.is_almost_regular,
-            "nu": count_induced_p3(g),
-            "tau": count_triangles(g),
-            "is_h_family": form == h_form,
-        })
-    scored.sort(key=lambda r: (-r["t"], r["graph6"]))
+    scored = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in stream.graphs),
+                    key=lambda r: (-r[0], r[1]))
     rows = []
     h_rank = None
-    for rank, r in enumerate(scored, start=1):
-        if r["is_h_family"]:
+    for rank, (t, form, g) in enumerate(scored, start=1):
+        if form == h_form:
             h_rank = rank
+        info = degree_info(g)
         rows.append({
             "rank": str(rank),
-            "graph6": r["graph6"],
-            "t": str(r["t"]),
-            "regular": r["regular"],
-            "almost_regular": r["almost_regular"],
-            "nu": str(r["nu"]),
-            "tau": str(r["tau"]),
-            "is_h_family": r["is_h_family"],
+            "graph6": form,
+            "t": str(t),
+            "regular": info.is_regular,
+            "almost_regular": info.is_almost_regular,
+            "nu": str(count_induced_p3(g)),
+            "tau": str(count_triangles(g)),
+            "is_h_family": form == h_form,
         })
     report = {
         "command": "report",

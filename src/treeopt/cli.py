@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 verified/success, 1 refuted, 2 usage error, 3 caps refusal,
-4 internal-consistency fault.
+4 internal-consistency fault, 130 interrupted (Ctrl-C; a spool run leaves its
+checkpoint, and the same command resumes from it).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import traceback
@@ -29,7 +29,14 @@ from .certify import (
     report_render_text,
     report_to_json,
 )
-from .enumeration import Caps, GraphClassSpec, enumerate_by_edges, enumerate_regular, spool_class
+from .enumeration import (
+    CHECKPOINT_SUFFIX,
+    Caps,
+    GraphClassSpec,
+    enumerate_by_edges,
+    enumerate_regular,
+    spool_class,
+)
 from .errors import CapsExceededError, Graph6Error, InternalConsistencyError
 from .graphs import complement, extend_g0, from_graph6, h_family, join_power, to_graph6
 from .linalg import spanning_tree_count
@@ -40,6 +47,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_CAPS = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 
 def _default_workers() -> int:
@@ -332,6 +340,12 @@ def main(argv=None) -> int:
     except InternalConsistencyError as e:
         print(f"internal fault: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        out = getattr(ns, "out", None)
+        resumable = out is not None and os.path.exists(out + CHECKPOINT_SUFFIX)
+        print("interrupted; rerun the same command to resume" if resumable
+              else "interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -19,16 +19,16 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapsExceededError, UnsupportedSizeError
 from .graphs import Graph, degree_info, to_graph6
-from .linalg import laplacian, trace_powers
-from .sequences import nu
+from .sequences import LAPLACIAN, nu, select_lex_minima
 
 CANONICAL_HARD_CAP = 16
+CHECKPOINT_SUFFIX = ".checkpoint"
 
 _REGULAR_DEFAULT_N = 10
 _REGULAR_OVERRIDE_N = 12
@@ -387,11 +387,15 @@ def _regular_worker(args):
 # drivers
 
 def _run_partitioned(tasks: list, worker: Callable, workers: int) -> Iterator[list]:
-    """Map worker over search-tree tasks, yielding results in task order as they land."""
+    """Map worker over search-tree tasks, yielding results in task order as they land.
+
+    Pool workers ignore SIGINT: Ctrl-C interrupts the parent alone, and
+    leaving the pool terminates them.
+    """
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker, tasks)
     else:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
             yield from pool.imap(worker, tasks, chunksize=1)
 
 
@@ -459,17 +463,9 @@ def enumerate_almost_regular(n: int, m: int, caps: Caps | None = None,
 def ladder_level(n: int, m: int, k: int, caps: Caps | None = None,
                  workers: int = 1) -> list[Graph]:
     """Iterated minimizers: level 1 is the whole class, level j+1 keeps the
-    members minimizing the (j+1)-th Laplacian trace among level j."""
-    if k < 1:
-        raise ValueError("ladder level starts at 1")
-    survivors = list(enumerate_by_edges(n, m, caps, workers))
-    for j in range(2, k + 1):
-        if not survivors:
-            break
-        vals = [trace_powers(laplacian(g), j)[-1] for g in survivors]
-        lo = min(vals)
-        survivors = [g for g, v in zip(survivors, vals) if v == lo]
-    return survivors
+    members minimizing the (j+1)-th Laplacian trace among level j. The first
+    trace is 2m throughout, so level k is the class's lex minima at cutoff k."""
+    return select_lex_minima(enumerate_by_edges(n, m, caps, workers), LAPLACIAN, k)[0]
 
 
 def nu_min_set(n: int, m: int, caps: Caps | None = None,
@@ -538,10 +534,13 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
 
     Work is split into subtree tasks; finished tasks land in
     `path.checkpoint` as they complete, so a rerun after an interruption
-    only runs what is missing. Returns the class size.
+    only runs what is missing. The output goes to `path.tmp`, is synced and
+    then renamed onto `path`, and only after that is the checkpoint removed:
+    `path` holds either its old bytes or the whole class. Returns the class
+    size.
     """
     tasks, worker, _ = _class_tasks(spec, caps or Caps())
-    ck_path = path + ".checkpoint"
+    ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
     done = _resume(ck_path, header, len(tasks))
 
@@ -559,8 +558,11 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
             ck.flush()
 
     forms = sorted(f for chunk in done.values() for f in chunk)
-    with open(path, "w") as fh:
-        for f in forms:
-            fh.write(f + "\n")
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(f + "\n" for f in forms)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
     os.remove(ck_path)
     return len(forms)

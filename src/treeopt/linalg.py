@@ -84,46 +84,11 @@ class CharPoly:
 
     coeffs: tuple[int, ...]  # ascending, coeffs[-1] == 1
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def evaluate(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def roots_within(self, lo: int, hi: int) -> bool:
-        """Certify all real roots lie in [lo, hi] via Descartes after a shift.
-
-        Returns True only when both sign tests are conclusive; a False return
-        means the certificate failed, not that a root is definitely outside.
-        """
-        # no roots below lo: Q(x) = P(lo - x) must have no positive roots
-        below = _taylor_shift(self.coeffs, lo)  # P(x + lo)
-        below_neg = tuple(c if k % 2 == 0 else -c for k, c in enumerate(below))
-        # no roots above hi: P(x + hi) must have no positive roots
-        above = _taylor_shift(self.coeffs, hi)
-        return _no_sign_change(below_neg) and _no_sign_change(above)
-
-
-def _taylor_shift(coeffs: tuple[int, ...], a: int) -> tuple[int, ...]:
-    # coefficients of P(x + a), synthetic division by (x - a) repeatedly
-    work = list(coeffs)
-    n = len(work)
-    out = []
-    for k in range(n):
-        for i in range(n - 2 - k, -1, -1):
-            work[i] += a * work[i + 1]
-        out.append(work[0])
-        work = work[1:]
-    return tuple(out)
-
-
-def _no_sign_change(coeffs) -> bool:
-    signs = [c for c in coeffs if c != 0]
-    return all((a > 0) == (b > 0) for a, b in zip(signs, signs[1:]))
 
 
 def char_poly(mat: IntMatrix) -> CharPoly:

@@ -8,7 +8,7 @@ graphs whose sequences agree through n agree at every length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InternalConsistencyError
 from .graphs import Graph, count_induced_p3
@@ -89,30 +89,19 @@ def lex_compare(s: TraceSequence, t: TraceSequence) -> LexVerdict:
     return LexVerdict(EQUAL, None)
 
 
-class _LazySeq:
-    """Trace sequence extended on demand, one matrix power kept around."""
-
-    def __init__(self, g: Graph, kind: str):
-        self.mat = _matrix_for(g, kind)
-        self.power = self.mat
-        self.values = [self.mat.trace()]
-
-    def value(self, k: int) -> int:  # 1-based
-        while len(self.values) < k:
-            self.power = self.power.mul(self.mat)
-            self.values.append(self.power.trace())
-        return self.values[k - 1]
-
-
 def select_lex_minima(
     graphs: Iterable[Graph], kind: str, cutoff: int | None = None,
 ) -> tuple[list[Graph], list[dict]]:
     """Lex-minimal members plus a per-graph divergence record.
 
-    Sequences are grown lazily and only extended on ties; the surviving
-    minima get a full-cutoff recomputation as a consistency pass. Records
-    carry 1-based `divergence_index` plus both values there (None for
-    graphs that tie the minimum through the cutoff).
+    Lexicographic order by definition: for k = 1..cutoff each surviving
+    member's running matrix power is multiplied once, and the members whose
+    k-th trace exceeds the least one among the survivors are recorded as
+    GREATER at `divergence_index` k, with their `value` and the
+    `minimum_value` there, and dropped. The survivors at k agree with the
+    minimum through k - 1, so k is where a dropped member's sequence leaves
+    the minimum's. The members left at the cutoff are the minima; their
+    records are EQUAL with index and values None.
     """
     pool = list(graphs)
     if not pool:
@@ -122,41 +111,27 @@ def select_lex_minima(
         raise ValueError("members must share the vertex count")
     if cutoff is None:
         cutoff = n
-
-    seqs = [_LazySeq(g, kind) for g in pool]
-    best = [0]
-    for idx in range(1, len(pool)):
-        rel = EQUAL
-        for k in range(1, cutoff + 1):
-            a, b = seqs[idx].value(k), seqs[best[0]].value(k)
-            if a != b:
-                rel = LESS if a < b else GREATER
-                break
-        if rel == LESS:
-            best = [idx]
-        elif rel == EQUAL:
-            best.append(idx)
-    # final pass: full sequences for everyone against the settled minimum
-    ref = pool[best[0]]
-    ref_seq = (adjacency_sequence if kind == ADJACENCY else laplacian_sequence)(ref, cutoff)
-    minima = []
-    out_records = []
-    for idx, g in enumerate(pool):
-        seq = (adjacency_sequence if kind == ADJACENCY else laplacian_sequence)(g, cutoff)
-        verdict = lex_compare(seq, ref_seq)
-        if verdict.relation == EQUAL:
-            minima.append(g)
-        elif verdict.relation == LESS:
-            raise InternalConsistencyError("lazy comparison missed a smaller sequence")
-        out_records.append({
-            "relation": verdict.relation,
-            "divergence_index": verdict.divergence_index,
-            "value": None if verdict.divergence_index is None
-            else seq.values[verdict.divergence_index - 1],
-            "minimum_value": None if verdict.divergence_index is None
-            else ref_seq.values[verdict.divergence_index - 1],
-        })
-    return minima, out_records
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    mats = [_matrix_for(g, kind) for g in pool]
+    powers = list(mats)
+    records: list = [None] * len(pool)
+    alive = range(len(pool))
+    for k in range(1, cutoff + 1):
+        if k > 1:
+            for i in alive:
+                powers[i] = powers[i].mul(mats[i])
+        values = {i: powers[i].trace() for i in alive}
+        low = min(values.values())
+        for i, v in values.items():
+            if v != low:
+                records[i] = {"relation": GREATER, "divergence_index": k,
+                              "value": v, "minimum_value": low}
+        alive = [i for i in alive if values[i] == low]
+    for i in alive:
+        records[i] = {"relation": EQUAL, "divergence_index": None,
+                      "value": None, "minimum_value": None}
+    return [pool[i] for i in alive], records
 
 
 def mixed_trace_identity_check(g: Graph, i: int, j: int) -> tuple[int, int, bool]:

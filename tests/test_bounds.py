@@ -32,6 +32,7 @@ from treeopt.graphs import (
     path_graph,
 )
 from treeopt.linalg import spanning_tree_count
+from treeopt.sequences import adjacency_sequence, laplacian_sequence
 
 from conftest import graph_from_mask
 
@@ -192,3 +193,27 @@ def test_girth_certificate_singleton_class():
     members = list(enumerate_regular(4, 1))
     assert len(members) == 1
     assert girth_certificate(members[0], members) == CERTIFIED_UNIQUE
+
+
+def test_girth_shortcuts_agree_with_exhaustive_minima():
+    # the verify commands' two shortcuts against full trace sequences on every
+    # regular class with n <= 9: a certificate for g in R_d(n) must name the
+    # unique adjacency lex minimum, and one for complement(g) in R_{n-1-d}(n)
+    # the unique Laplacian lex minimum of R_d(n)
+    certified = {"adjacency": 0, "laplacian": 0}
+    for n in range(1, 10):
+        classes = [enumerate_regular(n, d).graphs for d in range(n)]
+        for d, members in enumerate(classes):
+            if not members:
+                continue
+            dual = classes[n - 1 - d]
+            for kind, sequence in (("adjacency", adjacency_sequence),
+                                   ("laplacian", laplacian_sequence)):
+                values = [sequence(g, n).values for g in members]
+                least = [g for g, v in zip(members, values) if v == min(values)]
+                for g in members:
+                    probe, pool = (g, members) if kind == "adjacency" else (complement(g), dual)
+                    if girth_certificate(probe, pool) != INCONCLUSIVE:
+                        certified[kind] += 1
+                        assert least == [g], (n, d, kind)
+    assert certified == {"adjacency": 35, "laplacian": 35}

@@ -230,3 +230,41 @@ def test_unexpected_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("treeopt.cli.cmd_check_duality", boom)
     assert main(["duality", "--n", "6", "--d", "2"]) == 4
     assert "surprise" in capsys.readouterr().err
+
+
+def test_interrupt_exit_code(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("treeopt.cli.cmd_check_duality", interrupted)
+    assert main(["duality", "--n", "6", "--d", "2"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
+    import treeopt.enumeration as enum
+
+    args = ["enumerate", "--class", "s", "--n", "6", "--m", "7", "--workers", "1", "--out"]
+    clean = tmp_path / "clean.g6"
+    assert main(args + [str(clean)]) == 0
+    out = tmp_path / "s67.g6"
+    ck = tmp_path / "s67.g6.checkpoint"
+    real_worker = enum._edges_worker
+
+    def interrupted(task):
+        if ck.exists() and ck.read_text().count("\n") >= 2:  # header and one record
+            raise KeyboardInterrupt
+        return real_worker(task)
+
+    monkeypatch.setattr(enum, "_edges_worker", interrupted)
+    capsys.readouterr()
+    assert main(args + [str(out)]) == 130
+    err = capsys.readouterr().err
+    assert err == "interrupted; rerun the same command to resume\n"
+    assert "Traceback" not in err
+    assert ck.read_text().count("\n") == 2 and not out.exists()
+
+    monkeypatch.setattr(enum, "_edges_worker", real_worker)
+    assert main(args + [str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not ck.exists()

@@ -362,6 +362,30 @@ def test_spool_resumes_from_a_torn_checkpoint(tmp_path, monkeypatch):
         assert len(calls) == ntasks - finished, cut
 
 
+def test_spool_replaces_its_output_atomically(tmp_path, monkeypatch):
+    import treeopt.enumeration as enum
+
+    spec = GraphClassSpec("regular", 6, d=2)
+    out = tmp_path / "r62.g6"
+    ck = tmp_path / "r62.g6.checkpoint"
+    out.write_bytes(b"old bytes\n")
+
+    def failing(src, dst):
+        raise OSError("simulated rename failure")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(enum.os, "replace", failing)
+        with pytest.raises(OSError):
+            spool_class(spec, str(out))
+    assert out.read_bytes() == b"old bytes\n"
+    assert ck.exists()
+
+    assert spool_class(spec, str(out)) == 2
+    assert out.read_text() == "".join(to_graph6(g) + "\n" for g in enumerate_regular(6, 2))
+    assert not ck.exists()
+    assert not (tmp_path / "r62.g6.tmp").exists()
+
+
 def test_spool_discards_unreadable_checkpoint(tmp_path):
     spec = GraphClassSpec("regular", 6, d=2)
     out = tmp_path / "r.g6"

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +10,6 @@ from treeopt.graphs import (
     path_graph,
 )
 from treeopt.linalg import (
-    CharPoly,
     IntMatrix,
     adjacency_matrix,
     char_poly,
@@ -109,17 +106,6 @@ def test_char_poly_agrees_with_determinant(mat, x):
     p = char_poly(mat)
     shifted = IntMatrix.identity(len(mat.rows)).scale(x).sub(mat)
     assert p.evaluate(x) == det_bareiss(shifted)
-
-
-def test_root_interval_certificates():
-    lap_c4 = char_poly(laplacian(cycle_graph(4)))  # roots 0, 2, 2, 4
-    assert lap_c4.roots_within(0, 4)
-    assert not lap_c4.roots_within(0, 3)
-    assert not lap_c4.roots_within(1, 4)
-    adj_k4 = char_poly(adjacency_matrix(complete_graph(4)))  # roots 3, -1^3
-    assert adj_k4.roots_within(-1, 3)
-    assert not adj_k4.roots_within(0, 3)
-    assert adj_k4.degree == 4
 
 
 # ---------------------------------------------------------------------------

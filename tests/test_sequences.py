@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeopt.errors import InternalConsistencyError
+from treeopt.enumeration import enumerate_by_edges, enumerate_regular
 from treeopt.graphs import (
     Graph,
     complete_bipartite,
@@ -133,6 +133,42 @@ def test_select_lex_minima_validation():
         select_lex_minima([], ADJACENCY)
     with pytest.raises(ValueError):
         select_lex_minima([cycle_graph(4), cycle_graph(5)], ADJACENCY)
+    with pytest.raises(ValueError):
+        select_lex_minima([cycle_graph(5)], "spectral")
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError):
+            select_lex_minima([cycle_graph(5), path_graph(5)], LAPLACIAN, cutoff)
+
+
+def _reference_lex_minima(pool, kind):
+    """Full sequences for every member, each compared with the overall least."""
+    sequence = adjacency_sequence if kind == ADJACENCY else laplacian_sequence
+    seqs = [sequence(g, g.n) for g in pool]
+    least = min(seqs, key=lambda s: s.values)
+    minima, records = [], []
+    for g, seq in zip(pool, seqs):
+        verdict = lex_compare(seq, least)
+        assert verdict.relation != "LESS"
+        k = verdict.divergence_index
+        if k is None:
+            minima.append(g)
+        records.append({"relation": verdict.relation, "divergence_index": k,
+                        "value": None if k is None else seq.values[k - 1],
+                        "minimum_value": None if k is None else least.values[k - 1]})
+    return minima, records
+
+
+def test_select_lex_minima_matches_full_sequences():
+    classes = [enumerate_regular(n, d).graphs for n in range(1, 9) for d in range(n)]
+    classes += [enumerate_by_edges(6, m).graphs for m in range(16)]
+    checked = 0
+    for pool in classes:
+        if not pool:
+            continue  # odd degree sum
+        for kind in (ADJACENCY, LAPLACIAN):
+            assert select_lex_minima(pool, kind) == _reference_lex_minima(pool, kind)
+            checked += len(pool)
+    assert checked == 2 * (48 + 156)  # regular classes n <= 8, and every graph on 6 vertices
 
 
 def test_mixed_trace_identity_regular():

@@ -9,6 +9,11 @@ produced once, already in canonical form, so members need no post-hoc
 isomorphism filtering or relabeling; `canonical_relabel` maps outside input
 to the same form. Public emission order is ascending canonical graph6.
 
+Both the generators' canonicity test (`_beaten`) and `canonical_relabel`
+search relabelings over ordered cells held as int bitmasks, count
+neighbours in a cell with `int.bit_count`, and try twins of either kind
+(vertices with equal open or equal closed neighbourhoods) once.
+
 Caps keep runs at desk scale: regular classes to n = 10 (12 with override),
 edge-count sweeps to n = 8 (9 with override). The canonical form itself is
 hard-capped at n = 16.
@@ -92,12 +97,14 @@ def canonical_relabel(g: Graph) -> Graph:
     """The relabeling of g with the largest row-major code.
 
     Enumerator members are fixed points. The search is the one `_beaten`
-    runs: the next label goes to a vertex of the first cell, its neighbours
-    are packed first inside each cell and ties refine the cells. Only the
-    candidates with the largest row value go deeper, twins (adjacent or not)
-    are tried once, and a prefix below the best complete code is dropped. A
-    leaf equal to the best one differs from it by an automorphism fixing
-    their common prefix, so the search backs up to where their paths part.
+    runs, on the same int bitmask cells: the next label goes to a vertex of
+    the first cell, its neighbours are packed first inside each cell and
+    ties refine the cells. Only the candidates with the largest row value go
+    deeper, twins of either kind (equal open or equal closed
+    neighbourhoods) are tried once, and a prefix below the best complete
+    code is dropped. A leaf equal to the best one differs from it by an
+    automorphism fixing their common prefix, so the search backs up to
+    where their paths part.
     """
     n = g.n
     if n > CANONICAL_HARD_CAP:
@@ -106,7 +113,7 @@ def canonical_relabel(g: Graph) -> Graph:
     best_code: tuple = ()
     best_path: tuple = ()
 
-    def dfs(cells: list[list[int]], code: tuple, path: tuple) -> int:
+    def dfs(cells: list[int], code: tuple, path: tuple) -> int:
         # returns the level to go on from: n carries on, less backs up
         nonlocal best_code, best_path
         level = len(path)
@@ -116,38 +123,47 @@ def canonical_relabel(g: Graph) -> Graph:
             best_code, best_path = code, path
             return n
         options = []
-        reps: list[int] = []
-        for v in cells[0]:
-            if any((adj[u] ^ adj[v]) & ~((1 << u) | (1 << v)) == 0 for u in reps):
+        seen = set()
+        pool = cells[0]
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            row = adj[bit.bit_length() - 1]
+            closed = ~(row | bit)
+            if row in seen or closed in seen:
                 continue
-            reps.append(v)
-            row = adj[v]
+            seen.add(row)
+            seen.add(closed)
             val = 0
-            split: list[list[int]] = []
             for cell in cells:
-                nb, rest = [], []
-                for w in cell:
-                    if w == v:
-                        continue
-                    (nb if row >> w & 1 else rest).append(w)
-                val = (val << (len(nb) + len(rest))) | (((1 << len(nb)) - 1) << len(rest))
-                if nb:
-                    split.append(nb)
-                if rest:
-                    split.append(rest)
-            options.append((val, v, split))
-        top = max(val for val, _, _ in options)
+                cell &= ~bit
+                size = cell.bit_count()
+                k = (cell & row).bit_count()
+                val = (val << size) | (((1 << k) - 1) << (size - k))
+            options.append((val, bit))
+        top = max(val for val, _ in options)
         code += (top,)
         if code < best_code[:level + 1]:
             return n
-        for val, v, split in options:
-            if val == top:
-                back = dfs(split, code, path + (v,))
-                if back < level:
-                    return back
+        for val, bit in options:
+            if val != top:
+                continue
+            v = bit.bit_length() - 1
+            row = adj[v]
+            split = []
+            for cell in cells:
+                cell &= ~bit
+                nb = cell & row
+                if nb:
+                    split.append(nb)
+                if cell ^ nb:
+                    split.append(cell ^ nb)
+            back = dfs(split, code, path + (v,))
+            if back < level:
+                return back
         return n
 
-    dfs([list(range(n))], (), ())
+    dfs([(1 << n) - 1], (), ())
     perm = [0] * n
     for new, old in enumerate(best_path):
         perm[old] = new
@@ -168,44 +184,93 @@ def _beaten(n: int, adj: Sequence[int], rowvals: Sequence[int], depth: int,
     """Does some relabeling give a strictly larger row-code prefix?
 
     Compares rows 0..depth-1 only, drawing adversary vertices below
-    candidate_cap (pass n for a complete graph). Cells hold the vertices not
-    yet assigned a new label; packing neighbors first inside each cell is the
-    best the adversary can do at a row, ties refine the cells.
+    candidate_cap (pass n for a complete graph). Cells are int bitmasks of
+    the vertices not yet assigned a new label, in label order; packing
+    neighbors first inside each cell is the best the adversary can do at a
+    row, ties refine the cells. The target row, cut at the cells, asks for a
+    number of neighbors in each cell, so a candidate is compared one cell at
+    a time: it wins at the first cell where it has more, drops out at the
+    first where it has fewer, and only a tie builds the refined cells.
+    Twins of either kind (equal open or equal closed neighborhoods) are
+    tried once: swapping two of them inside the first cell is an
+    automorphism fixing the labeled prefix and every cell.
     """
+    cap = (1 << candidate_cap) - 1
+    stop = min(depth, n - 1)  # row n-1 is empty and always ties
 
-    def dfs(level: int, cells: list[list[int]]) -> bool:
-        if level == depth:
-            return False
-        target = rowvals[level]
-        seen = set()
-        for v in cells[0]:
-            if v >= candidate_cap:
-                continue
-            key = adj[v] | (1 << v)
-            if key in seen:
-                continue
-            seen.add(key)
-            row = adj[v]
+    def discrete(level: int, cells: list[int]) -> bool:
+        # singleton cells fix the rest of the labeling: compare its rows
+        weight = [0] * n
+        rest = 0
+        for label, cell in enumerate(cells, level):
+            weight[cell.bit_length() - 1] = 1 << (n - 1 - label)
+            rest |= cell
+        for label in range(level, stop):
+            bit = cells[label - level]
+            if not bit & cap:
+                return False
+            rest ^= bit
+            nb = adj[bit.bit_length() - 1] & rest
             val = 0
-            split: list[list[int]] = []
-            for ci, cell in enumerate(cells):
-                nb, rest = [], []
-                for w in cell:
-                    if w == v:
-                        continue
-                    (nb if row >> w & 1 else rest).append(w)
-                val = (val << (len(nb) + len(rest))) | (((1 << len(nb)) - 1) << len(rest))
-                if nb:
-                    split.append(nb)
-                if rest:
-                    split.append(rest)
-            if val > target:
-                return True
-            if val == target and dfs(level + 1, split):
-                return True
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                val |= weight[low.bit_length() - 1]
+            if val != rowvals[label]:
+                return val > rowvals[label]
         return False
 
-    return dfs(0, [list(range(n))])
+    def dfs(level: int, cells: list[int]) -> bool:
+        if level == stop:
+            return False
+        if len(cells) == n - level:
+            return discrete(level, cells)
+        target = rowvals[level]
+        width = n - 1 - level
+        # per cell: (cell, neighbors a tie needs, the target segment is 1..10..0)
+        needs = []
+        first = True
+        for cell in cells:
+            size = cell.bit_count() - first
+            first = False
+            width -= size
+            holes = (target >> width & ((1 << size) - 1)) ^ ((1 << size) - 1)
+            exact = holes & (holes + 1) == 0
+            needs.append((cell, size - holes.bit_length(), exact))
+            if not exact:
+                break
+        seen = set()
+        pool = cells[0] & cap
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            row = adj[bit.bit_length() - 1]
+            for cell, need, exact in needs:
+                k = (cell & row).bit_count()
+                if k > need:
+                    return True
+                if k < need or not exact:
+                    break
+            else:
+                # a twin compares the same, so the check waits for a tie
+                closed = ~(row | bit)
+                if row in seen or closed in seen:
+                    continue
+                seen.add(row)
+                seen.add(closed)
+                split = []
+                for cell in cells:
+                    cell &= ~bit
+                    nb = cell & row
+                    if nb:
+                        split.append(nb)
+                    if cell ^ nb:
+                        split.append(cell ^ nb)
+                if dfs(level + 1, split):
+                    return True
+        return False
+
+    return dfs(0, [(1 << n) - 1])
 
 
 def _is_row_canonical(n: int, adj: Sequence[int]) -> bool:
@@ -219,48 +284,52 @@ def _positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _edges_children(n: int, adj: tuple[int, ...], last: int, npos: int,
-                    positions, remaining: int):
+def _edges_children(n: int, adj: tuple[int, ...], rows: tuple[int, ...], last: int,
+                    npos: int, positions, remaining: int):
+    """Canonical children adding one edge after position `last`; adding ij
+    (i < j) changes row i of the row code alone."""
     out = []
     for p in range(last + 1, npos - remaining + 1):
         i, j = positions[p]
         child = list(adj)
         child[i] |= 1 << j
         child[j] |= 1 << i
-        child_t = tuple(child)
-        if _is_row_canonical(n, child_t):
-            out.append((child_t, p))
+        child_rows = list(rows)
+        child_rows[i] |= 1 << (n - 1 - j)
+        if not _beaten(n, child, child_rows, n, n):
+            out.append((tuple(child), tuple(child_rows), p))
     return out
 
 
-def _edges_dfs(n: int, m: int, adj: tuple[int, ...], last: int, edges: int,
-               positions, npos: int, sink: list):
+def _edges_dfs(n: int, m: int, adj: tuple[int, ...], rows: tuple[int, ...], last: int,
+               edges: int, positions, npos: int, sink: list):
     if edges == m:
         sink.append(adj)
         return
-    for child, p in _edges_children(n, adj, last, npos, positions, m - edges):
-        _edges_dfs(n, m, child, p, edges + 1, positions, npos, sink)
+    for child, child_rows, p in _edges_children(n, adj, rows, last, npos, positions, m - edges):
+        _edges_dfs(n, m, child, child_rows, p, edges + 1, positions, npos, sink)
 
 
 def _edges_states(n: int, m: int, depth: int):
-    """(adj, last, edges) frontier after `depth` augmentations."""
+    """(adj, row code, last, edges) frontier after `depth` augmentations."""
     positions = _positions(n)
     npos = len(positions)
-    states = [((0,) * n, -1, 0)]
+    states = [((0,) * n, (0,) * n, -1, 0)]
     for _ in range(depth):
         nxt = []
-        for adj, last, edges in states:
-            for child, p in _edges_children(n, adj, last, npos, positions, m - edges):
-                nxt.append((child, p, edges + 1))
+        for adj, rows, last, edges in states:
+            for child, child_rows, p in _edges_children(n, adj, rows, last, npos, positions,
+                                                        m - edges):
+                nxt.append((child, child_rows, p, edges + 1))
         states = nxt
     return states
 
 
 def _edges_worker(args):
-    n, m, adj, last, edges = args
+    n, m, adj, rows, last, edges = args
     positions = _positions(n)
     sink: list = []
-    _edges_dfs(n, m, adj, last, edges, positions, len(positions), sink)
+    _edges_dfs(n, m, adj, rows, last, edges, positions, len(positions), sink)
     return sink
 
 
@@ -305,9 +374,10 @@ def _compositions(limits: list[int], total: int):
     return out
 
 
-def _regular_children(n: int, d: int, k: int, adj: tuple[int, ...],
+def _regular_children(n: int, d: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
                       cells: tuple[tuple[int, int, int], ...]):
-    """Expand row k. cells: (lo, hi, residual) intervals over k..n-1."""
+    """Expand row k. rows: row code values of rows 0..k-1; cells: (lo, hi,
+    residual) intervals over k..n-1."""
     # vertex k fronts the first cell; peel it off
     if not cells or cells[0][0] != k:
         raise AssertionError("cell bookkeeping broke")
@@ -318,11 +388,13 @@ def _regular_children(n: int, d: int, k: int, adj: tuple[int, ...],
     out = []
     for counts in _compositions(limits, delta):
         mask = 0
+        row = 0
         new_cells = []
         feasible = True
         for (lo_, hi_, r_), a in zip(rest, counts):
             if a:
                 mask |= ((1 << a) - 1) << lo_
+                row |= ((1 << a) - 1) << (n - lo_ - a)
                 new_cells.append((lo_, lo_ + a - 1, r_ - 1))
             if lo_ + a <= hi_:
                 new_cells.append((lo_ + a, hi_, r_))
@@ -344,42 +416,41 @@ def _regular_children(n: int, d: int, k: int, adj: tuple[int, ...],
                 child[w] |= 1 << k
             v >>= 1
             w += 1
-        child_t = tuple(child)
-        rowvals = _row_vals(n, child_t)
-        if _beaten(n, child_t, rowvals, k + 1, k + 1):
+        child_rows = rows + (row,)
+        # row k = n-1 makes the graph whole: this is the full canonicity test
+        if _beaten(n, child, child_rows, k + 1, k + 1):
             continue
-        out.append((child_t, tuple(new_cells)))
+        out.append((tuple(child), child_rows, tuple(new_cells)))
     return out
 
 
-def _regular_dfs(n: int, d: int, k: int, adj: tuple[int, ...],
+def _regular_dfs(n: int, d: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
                  cells: tuple[tuple[int, int, int], ...], sink: list):
     if k == n:
-        if _is_row_canonical(n, adj):
-            sink.append(adj)
+        sink.append(adj)
         return
-    for child, new_cells in _regular_children(n, d, k, adj, cells):
-        _regular_dfs(n, d, k + 1, child, new_cells, sink)
+    for child, child_rows, new_cells in _regular_children(n, d, k, adj, rows, cells):
+        _regular_dfs(n, d, k + 1, child, child_rows, new_cells, sink)
 
 
 def _regular_states(n: int, d: int, depth: int):
-    states = [(0, (0,) * n, ((0, n - 1, d),))]
+    states = [(0, (0,) * n, (), ((0, n - 1, d),))]
     for _ in range(depth):
         nxt = []
-        for k, adj, cells in states:
+        for k, adj, rows, cells in states:
             if k == n:
-                nxt.append((k, adj, cells))
+                nxt.append((k, adj, rows, cells))
                 continue
-            for child, new_cells in _regular_children(n, d, k, adj, cells):
-                nxt.append((k + 1, child, new_cells))
+            for child, child_rows, new_cells in _regular_children(n, d, k, adj, rows, cells):
+                nxt.append((k + 1, child, child_rows, new_cells))
         states = nxt
     return states
 
 
 def _regular_worker(args):
-    n, d, k, adj, cells = args
+    n, d, k, adj, rows, cells = args
     sink: list = []
-    _regular_dfs(n, d, k, adj, cells, sink)
+    _regular_dfs(n, d, k, adj, rows, cells, sink)
     return sink
 
 
@@ -414,7 +485,7 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, Callable, str 
         if (n * d) % 2:
             return [], _regular_worker, "odd degree sum: class is empty"
         depth = 2 if n >= 8 else 1
-        return ([(n, d, k, adj, cells) for k, adj, cells in _regular_states(n, d, depth)],
+        return ([(n, d, *state) for state in _regular_states(n, d, depth)],
                 _regular_worker, None)
     if spec.kind == "edges":
         maxm = n * (n - 1) // 2
@@ -423,7 +494,7 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, Callable, str 
         if n > caps.edges_limit:
             raise CapsExceededError(f"edge-count enumeration capped at n = {caps.edges_limit}"
                                     f"{override}, requested n = {n}")
-        return ([(n, m, adj, last, edges) for adj, last, edges in _edges_states(n, m, min(m, 3))],
+        return ([(n, m, *state) for state in _edges_states(n, m, min(m, 3))],
                 _edges_worker, None)
     raise ValueError(f"unknown class kind {spec.kind!r}")
 
@@ -537,8 +608,11 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
     only runs what is missing. The output goes to `path.tmp`, is synced and
     then renamed onto `path`, and only after that is the checkpoint removed:
     `path` holds either its old bytes or the whole class. Returns the class
-    size.
+    size. A path in a missing directory raises ValueError before any work.
     """
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"output directory {folder} does not exist")
     tasks, worker, _ = _class_tasks(spec, caps or Caps())
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}

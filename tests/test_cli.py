@@ -133,6 +133,14 @@ def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_out_in_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.g6"
+    assert main(["enumerate", "--class", "r", "--n", "6", "--d", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out.parent} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("TREEOPT_WORKERS", "2")
     assert main(["count", "--g6", g6_k33]) == 0

@@ -25,6 +25,9 @@ from treeopt.enumeration import (
     CANONICAL_HARD_CAP,
     Caps,
     GraphClassSpec,
+    _beaten,
+    _is_row_canonical,
+    _row_vals,
     are_isomorphic,
     canonical_form,
     canonical_relabel,
@@ -100,6 +103,72 @@ def test_canonical_relabel_has_the_largest_row_code(g):
     # brute force over all n! relabelings
     best = max(_row_code(g.relabel(p)) for p in permutations(range(g.n)))
     assert _row_code(canonical_relabel(g)) == best
+
+
+# ---------------------------------------------------------------------------
+# the orderly generators' canonicity kernel against brute force
+
+def _rows_under(n, rows, order):
+    # row code of the relabeling that gives vertex order[t] the label t
+    label = {v: t for t, v in enumerate(order)}
+    return tuple(sum(1 << (n - 1 - label[u]) for u in order[t + 1:] if rows[v] >> u & 1)
+                 for t, v in enumerate(order))
+
+
+def _check_kernel(n, rows):
+    """`_beaten` for every depth and candidate cap, and `_is_row_canonical`,
+    against all n! relabelings. The kernel is beaten at (depth, cap) iff some
+    relabeling's code first differs at a row L < depth, is larger there, and
+    labels 0..L go to vertices below cap."""
+    target = _rows_under(n, rows, range(n))
+    wins = set()
+    for order in permutations(range(n)):
+        code = _rows_under(n, rows, order)
+        first = next((t for t in range(n) if code[t] != target[t]), None)
+        if first is not None and code[first] > target[first]:
+            wins.add((first, max(order[:first + 1])))
+    assert _row_vals(n, rows) == list(target)
+    assert _is_row_canonical(n, rows) == (not wins), rows
+    for depth in range(1, n + 1):
+        for cap in range(1, n + 1):
+            expect = any(first < depth and top < cap for first, top in wins)
+            assert _beaten(n, rows, target, depth, cap) == expect, (rows, depth, cap)
+
+
+def test_kernel_on_every_labeled_graph_up_to_five_vertices():
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _check_kernel(n, graph_from_mask(n, mask).rows)
+
+
+def _twin_kinds(g):
+    kinds = set()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (g.rows[u] ^ g.rows[v]) & ~(1 << u | 1 << v) == 0:
+                kinds.add("adjacent" if g.has_edge(u, v) else "non-adjacent")
+    return kinds
+
+
+def test_kernel_on_random_graphs_with_planted_twins():
+    rnd = random.Random(20)
+    kinds = []
+    for n in [6] * 24 + [7] * 8:
+        core = rnd.randint(2, n - 2)
+        edges = [(i, j) for i in range(core) for j in range(i + 1, core) if rnd.random() < 0.5]
+        for y in range(core, n):
+            # y copies the neighbourhood of an earlier x, and joins x half the time
+            x = rnd.randrange(y)
+            edges += [(w, y) for w in range(y) if (w, x) in edges or (x, w) in edges]
+            if rnd.random() < 0.5:
+                edges.append((x, y))
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = Graph.from_edges(n, edges).relabel(perm)
+        kinds.append(_twin_kinds(g))
+        _check_kernel(n, g.rows)
+    assert sum("adjacent" in k for k in kinds) >= 8
+    assert sum("non-adjacent" in k for k in kinds) >= 8
 
 
 def test_enumerator_members_are_fixed_points():
@@ -183,6 +252,14 @@ def test_regular_complement_bijection():
             b = enumerate_regular(n, n - 1 - d).graphs
             image = sorted(canonical_form(complement(g)) for g in a)
             assert image == [to_graph6(g) for g in b], (n, d)
+
+
+def test_regular_census_at_ten_vertices():
+    classes = [enumerate_regular(10, d).graphs for d in range(10)]
+    assert [len(members) for members in classes] == [1, 1, 5, 21, 60, 60, 21, 5, 1, 1]
+    for d, members in enumerate(classes):
+        image = sorted(canonical_form(complement(g)) for g in members)
+        assert image == [to_graph6(g) for g in classes[9 - d]], d
 
 
 def test_known_class_sizes():

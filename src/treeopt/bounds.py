@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .enumeration import canonical_form
+from .enumeration import canonical_form, canonical_relabel
 from .errors import InternalConsistencyError
 from .graphs import (Graph, complement, degree_info, girth, girth_and_cycles,
-                     is_clique_union, is_connected)
+                     is_clique_union, is_connected, to_graph6)
 from .linalg import char_poly, laplacian, spanning_tree_count
 from .sequences import gap_sequence, nu
 
@@ -157,10 +157,18 @@ def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
     class; CERTIFIED_BY_CYCLE_COUNTS when every other member's first
     diverging cycle count (lengths 3..2*girth-1) is strictly larger;
     INCONCLUSIVE otherwise. Inconclusive is not a refutation.
+
+    Members are one per isomorphism class. Enumerator members are in
+    canonical form, so the member equal to the candidate's canonical
+    relabeling is the candidate; members in other labelings are matched by
+    canonical form.
     """
     pool = list(members)
-    cand_form = canonical_form(candidate)
-    others = [g for g in pool if canonical_form(g) != cand_form]
+    canon = canonical_relabel(candidate)
+    others = [g for g in pool if g != canon]
+    if len(others) == len(pool):
+        cand_form = to_graph6(canon)
+        others = [g for g in pool if canonical_form(g) != cand_form]
     if len(others) == len(pool):
         raise ValueError("candidate is not a member of the class")
     g_girth = girth(candidate)

@@ -414,6 +414,7 @@ def is_clique_union(g: Graph) -> bool:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, GIRTH_INFINITE if acyclic."""
     best = GIRTH_INFINITE
+    nbrs = [g.neighbors(x) for x in range(g.n)]
     for u, v in g.edges():
         # shortest u-v path avoiding the edge uv, plus that edge
         dist = {u: 0}
@@ -422,7 +423,7 @@ def girth(g: Graph) -> int | float:
         while frontier and found is None:
             nxt = []
             for x in frontier:
-                for y in g.neighbors(x):
+                for y in nbrs[x]:
                     if x == u and y == v:
                         continue
                     if y not in dist:
@@ -448,9 +449,10 @@ def girth_and_cycles(g: Graph, max_len: int) -> tuple[int | float, tuple[int, ..
     if not 3 <= max_len <= g.n:
         raise ValueError(f"max_len must be in 3..{g.n}")
     counts = [0] * (max_len + 1)
+    nbrs = [g.neighbors(v) for v in range(g.n)]
 
     def extend(root: int, path_last: int, visited: int, length: int):
-        for w in g.neighbors(path_last):
+        for w in nbrs[path_last]:
             if w == root and length >= 3:
                 counts[length] += 1
             if w > root and not visited >> w & 1 and length < max_len:

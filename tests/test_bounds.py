@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import treeopt.bounds as bounds
 from treeopt.bounds import (
     CERTIFIED_BY_CYCLE_COUNTS,
     CERTIFIED_UNIQUE,
@@ -189,6 +191,31 @@ def test_girth_certificate_acyclic_tie():
     assert girth_certificate(forests[0], forests) == INCONCLUSIVE
 
 
+def test_girth_certificate_canonicalizes_the_candidate_once(monkeypatch):
+    calls = []
+    relabel = bounds.canonical_relabel
+    monkeypatch.setattr(bounds, "canonical_relabel", lambda g: calls.append(g) or relabel(g))
+    monkeypatch.setattr(bounds, "canonical_form", lambda g: pytest.fail("pool canonicalized"))
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)])
+    assert girth_certificate(petersen, enumerate_regular(10, 3)) == CERTIFIED_UNIQUE
+    assert calls == [petersen]
+
+
+def test_girth_certificate_on_members_in_other_labelings():
+    # a pool that did not come from an enumerator is matched by canonical form
+    rnd = random.Random(8)
+    members = []
+    for g in enumerate_regular(8, 3):
+        perm = list(range(8))
+        rnd.shuffle(perm)
+        members.append(g.relabel(perm))
+    assert girth_certificate(h_family(8), members) == CERTIFIED_BY_CYCLE_COUNTS
+    with pytest.raises(ValueError):
+        girth_certificate(complete_bipartite(4, 4), members)
+
+
 def test_girth_certificate_singleton_class():
     members = list(enumerate_regular(4, 1))
     assert len(members) == 1
@@ -197,11 +224,11 @@ def test_girth_certificate_singleton_class():
 
 def test_girth_shortcuts_agree_with_exhaustive_minima():
     # the verify commands' two shortcuts against full trace sequences on every
-    # regular class with n <= 9: a certificate for g in R_d(n) must name the
+    # regular class with n <= 10: a certificate for g in R_d(n) must name the
     # unique adjacency lex minimum, and one for complement(g) in R_{n-1-d}(n)
     # the unique Laplacian lex minimum of R_d(n)
     certified = {"adjacency": 0, "laplacian": 0}
-    for n in range(1, 10):
+    for n in range(1, 11):
         classes = [enumerate_regular(n, d).graphs for d in range(n)]
         for d, members in enumerate(classes):
             if not members:
@@ -216,4 +243,4 @@ def test_girth_shortcuts_agree_with_exhaustive_minima():
                     if girth_certificate(probe, pool) != INCONCLUSIVE:
                         certified[kind] += 1
                         assert least == [g], (n, d, kind)
-    assert certified == {"adjacency": 35, "laplacian": 35}
+    assert certified == {"adjacency": 45, "laplacian": 45}

@@ -141,6 +141,14 @@ def test_enumerate_out_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enumerate_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert main(["enumerate", "--class", "s", "--n", "5", "--m", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output path {out} is a directory\n"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
 def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("TREEOPT_WORKERS", "2")
     assert main(["count", "--g6", g6_k33]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeopt import enumeration
 from treeopt.errors import CapsExceededError, UnsupportedSizeError
 from treeopt.graphs import (
     Graph,
@@ -169,6 +170,26 @@ def test_kernel_on_random_graphs_with_planted_twins():
         _check_kernel(n, g.rows)
     assert sum("adjacent" in k for k in kinds) >= 8
     assert sum("non-adjacent" in k for k in kinds) >= 8
+
+
+def test_row_search_agrees_with_the_search_from_the_root(monkeypatch):
+    # on every R_d(n) with n <= 10, every candidate row the regular generator
+    # tries, accepted or rejected, gets from the search carried on from its
+    # parent's record the verdict of `_beaten` run from the root
+    row_search = enumeration._row_search
+    verdicts = {True: 0, False: 0}
+
+    def checked(n, adj, rowvals, k, record):
+        out = row_search(n, adj, rowvals, k, record)
+        assert (out is None) == _beaten(n, adj, rowvals, k + 1, k + 1), (adj, k)
+        verdicts[out is None] += 1
+        return out
+
+    monkeypatch.setattr(enumeration, "_row_search", checked)
+    for n in range(1, 11):
+        for d in range(n):
+            enumerate_regular(n, d)
+    assert verdicts == {True: 937, False: 2131}  # rejected, accepted
 
 
 def test_enumerator_members_are_fixed_points():

@@ -2,19 +2,22 @@
 
 One canonical convention serves the whole package: the row-major adjacency
 code, maximal over relabelings (row i holds the bits ij for j > i, j = i+1
-first, and codes compare row by row). Two orderly generators emit exactly
-the relabelings that attain it: fixed edge count classes grow edge by edge,
-regular classes grow row by row with packed cells. Each isomorphism class is
-produced once, already in canonical form, so members need no post-hoc
-isomorphism filtering or relabeling; `canonical_relabel` maps outside input
-to the same form. Public emission order is ascending canonical graph6.
+first, and codes compare row by row). One orderly generator emits exactly
+the relabelings that attain it: Read's scheme with rows as the augmentation
+step, as in Faradzev's generator. It fills the adjacency matrix row by row,
+packing each row into the cells of vertices with equal adjacency to the rows
+before. Regular and fixed edge count classes differ only in the rule that
+keeps a partial graph completable. Each isomorphism class is produced once,
+already in canonical form, so members need no post-hoc isomorphism
+filtering or relabeling; `canonical_relabel` maps outside input to the same
+form. Public emission order is ascending canonical graph6.
 
-Both the generators' canonicity test (`_beaten`) and `canonical_relabel`
+Both the generator's canonicity test (`_row_search`) and `canonical_relabel`
 search relabelings over ordered cells held as int bitmasks, count
 neighbours in a cell with `int.bit_count`, and try twins of either kind
-(vertices with equal open or equal closed neighbourhoods) once. The regular
-generator carries each child's search on from its parent's (`_row_search`)
-instead of starting it again.
+(vertices with equal open or equal closed neighbourhoods) once. The
+generator carries each child's search on from its parent's instead of
+starting it again.
 
 Caps keep runs at desk scale: regular classes to n = 10 (12 with override),
 edge-count sweeps to n = 8 (9 with override). The canonical form itself is
@@ -27,7 +30,7 @@ import json
 import os
 import signal
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapsExceededError, UnsupportedSizeError
 from .graphs import Graph, degree_info, to_graph6
@@ -89,15 +92,10 @@ class IsoClassStream:
 # ---------------------------------------------------------------------------
 # canonical form: row-major adjacency code, maximal over relabelings
 
-def _row_vals(n: int, adj: Sequence[int]) -> list[int]:
-    return [sum((adj[i] >> j & 1) << (n - 1 - j) for j in range(i + 1, n))
-            for i in range(n)]
-
-
 def canonical_relabel(g: Graph) -> Graph:
     """The relabeling of g with the largest row-major code.
 
-    Enumerator members are fixed points. The search is the one `_beaten`
+    Enumerator members are fixed points. The search is the one `_row_search`
     runs, on the same int bitmask cells: the next label goes to a vertex of
     the first cell, its neighbours are packed first inside each cell and
     ties refine the cells. Only the candidates with the largest row value go
@@ -180,106 +178,27 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
 
 
-def _beaten(n: int, adj: Sequence[int], rowvals: Sequence[int], depth: int,
-            candidate_cap: int) -> bool:
-    """Does some relabeling give a strictly larger row-code prefix?
-
-    Compares rows 0..depth-1 only, drawing adversary vertices below
-    candidate_cap (pass n for a complete graph). Cells are int bitmasks of
-    the vertices not yet assigned a new label, in label order; packing
-    neighbors first inside each cell is the best the adversary can do at a
-    row, ties refine the cells. The target row, cut at the cells, asks for a
-    number of neighbors in each cell, so a candidate is compared one cell at
-    a time: it wins at the first cell where it has more, drops out at the
-    first where it has fewer, and only a tie builds the refined cells.
-    Twins of either kind (equal open or equal closed neighborhoods) are
-    tried once: swapping two of them inside the first cell is an
-    automorphism fixing the labeled prefix and every cell.
-    """
-    cap = (1 << candidate_cap) - 1
-    stop = min(depth, n - 1)  # row n-1 is empty and always ties
-
-    def discrete(level: int, cells: list[int]) -> bool:
-        # singleton cells fix the rest of the labeling: compare its rows
-        weight = [0] * n
-        rest = 0
-        for label, cell in enumerate(cells, level):
-            weight[cell.bit_length() - 1] = 1 << (n - 1 - label)
-            rest |= cell
-        for label in range(level, stop):
-            bit = cells[label - level]
-            if not bit & cap:
-                return False
-            rest ^= bit
-            nb = adj[bit.bit_length() - 1] & rest
-            val = 0
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                val |= weight[low.bit_length() - 1]
-            if val != rowvals[label]:
-                return val > rowvals[label]
-        return False
-
-    def dfs(level: int, cells: list[int]) -> bool:
-        if level == stop:
-            return False
-        if len(cells) == n - level:
-            return discrete(level, cells)
-        target = rowvals[level]
-        width = n - 1 - level
-        # per cell: (cell, neighbors a tie needs, the target segment is 1..10..0)
-        needs = []
-        first = True
-        for cell in cells:
-            size = cell.bit_count() - first
-            first = False
-            width -= size
-            holes = (target >> width & ((1 << size) - 1)) ^ ((1 << size) - 1)
-            exact = holes & (holes + 1) == 0
-            needs.append((cell, size - holes.bit_length(), exact))
-            if not exact:
-                break
-        seen = set()
-        pool = cells[0] & cap
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            row = adj[bit.bit_length() - 1]
-            for cell, need, exact in needs:
-                k = (cell & row).bit_count()
-                if k > need:
-                    return True
-                if k < need or not exact:
-                    break
-            else:
-                # a twin compares the same, so the check waits for a tie
-                closed = ~(row | bit)
-                if row in seen or closed in seen:
-                    continue
-                seen.add(row)
-                seen.add(closed)
-                split = []
-                for cell in cells:
-                    cell &= ~bit
-                    nb = cell & row
-                    if nb:
-                        split.append(nb)
-                    if cell ^ nb:
-                        split.append(cell ^ nb)
-                if dfs(level + 1, split):
-                    return True
-        return False
-
-    return dfs(0, [(1 << n) - 1])
-
+# ---------------------------------------------------------------------------
+# orderly generation: row completion over packed cells
 
 def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
                 record: list) -> list | None:
-    """The regular generator's canonicity check of row k: the search of
-    `_beaten(n, adj, rowvals, k + 1, k + 1)`, carried on from `record`.
-    Returns None if some relabeling beats the row code, else the record of
-    this search.
+    """The generator's canonicity check of row k, carried on from `record`:
+    does a relabeling beat the row code first at some row L <= k, giving
+    labels 0..L to vertices 0..k? Returns None if one does, else the
+    record of this search.
+
+    The search runs over cells, int bitmasks of the vertices not yet
+    labeled, in label order. Packing neighbours first inside each cell is
+    the best a relabeling can do at a row, and ties refine the cells. The
+    target row, cut at the cells, asks for a number of neighbours in each
+    cell, so a candidate is compared one cell at a time: it wins at the
+    first cell where it has more, drops out at the first where it has
+    fewer, and only a tie builds the refined cells. Twins of either kind
+    (equal open or equal closed neighbourhoods) are tried once: swapping two
+    of them inside the first cell is an automorphism fixing the labeled
+    prefix and every cell. Singleton cells fix the rest of the labeling,
+    whose rows are then compared directly.
 
     A record lists the nodes a later search must revisit: tied nodes whose
     first cell still holds a vertex above k, as (level, cells, needs, twin
@@ -293,9 +212,6 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
     node. Rows 0..k-1 and the adjacency of vertices 0..k-1 are the same in
     parent and child, and vertex k is the largest candidate, so every node
     tries it last: the result is the search from the root, node for node.
-
-    The cell kernel repeats `_beaten`'s. One shared kernel slowed the edge
-    generator, which needs no records, by 1-5%.
     """
     newest = 1 << k
     cap = (newest << 1) - 1
@@ -394,213 +310,176 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
     return out
 
 
-def _is_row_canonical(n: int, adj: Sequence[int]) -> bool:
-    return not _beaten(n, adj, _row_vals(n, adj), n, n)
-
-
-# ---------------------------------------------------------------------------
-# fixed edge count: orderly edge augmentation
-
-def _positions(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _edges_children(n: int, adj: tuple[int, ...], rows: tuple[int, ...], last: int,
-                    npos: int, positions, remaining: int):
-    """Canonical children adding one edge after position `last`; adding ij
-    (i < j) changes row i of the row code alone."""
-    out = []
-    for p in range(last + 1, npos - remaining + 1):
-        i, j = positions[p]
-        child = list(adj)
-        child[i] |= 1 << j
-        child[j] |= 1 << i
-        child_rows = list(rows)
-        child_rows[i] |= 1 << (n - 1 - j)
-        if not _beaten(n, child, child_rows, n, n):
-            out.append((tuple(child), tuple(child_rows), p))
-    return out
-
-
-def _edges_dfs(n: int, m: int, adj: tuple[int, ...], rows: tuple[int, ...], last: int,
-               edges: int, positions, npos: int, sink: list):
-    if edges == m:
-        sink.append(adj)
-        return
-    for child, child_rows, p in _edges_children(n, adj, rows, last, npos, positions, m - edges):
-        _edges_dfs(n, m, child, child_rows, p, edges + 1, positions, npos, sink)
-
-
-def _edges_states(n: int, m: int, depth: int):
-    """(adj, row code, last, edges) frontier after `depth` augmentations."""
-    positions = _positions(n)
-    npos = len(positions)
-    states = [((0,) * n, (0,) * n, -1, 0)]
-    for _ in range(depth):
-        nxt = []
-        for adj, rows, last, edges in states:
-            for child, child_rows, p in _edges_children(n, adj, rows, last, npos, positions,
-                                                        m - edges):
-                nxt.append((child, child_rows, p, edges + 1))
-        states = nxt
-    return states
-
-
-def _edges_worker(args):
-    n, m, adj, rows, last, edges = args
-    positions = _positions(n)
-    sink: list = []
-    _edges_dfs(n, m, adj, rows, last, edges, positions, len(positions), sink)
-    return sink
-
-
-# ---------------------------------------------------------------------------
-# regular: row completion over packed cells
-
-def _erdos_gallai(seq: list[int]) -> bool:
-    """Is seq realizable as a degree sequence (Erdos-Gallai)?"""
-    s = sorted(seq, reverse=True)
-    if any(x < 0 for x in s):
+def _erdos_gallai(pairs: list[tuple[int, int]]) -> bool:
+    """Is the sequence holding `count` copies of each `value` of the
+    (value, count) pairs a degree sequence (Erdos-Gallai)? The inequality
+    need only hold where a run of equal values ends (Tripathi and Vijay
+    2003), so it is tested once per pair."""
+    pairs = sorted(pairs, reverse=True)
+    if pairs and pairs[-1][0] < 0 or sum(v * c for v, c in pairs) % 2:
         return False
-    if sum(s) % 2:
-        return False
-    p = len(s)
-    if s and s[0] > p - 1:
-        return False
-    prefix = 0
-    for k in range(1, p + 1):
-        prefix += s[k - 1]
-        tail = sum(min(x, k) for x in s[k:])
-        if prefix > k * (k - 1) + tail:
+    prefix = k = 0
+    for i, (value, count) in enumerate(pairs):
+        prefix += value * count
+        k += count
+        if prefix > k * (k - 1) + sum(c * min(v, k) for v, c in pairs[i + 1:]):
             return False
     return True
 
 
-def _compositions(limits: list[int], total: int):
-    """All tuples 0 <= a_i <= limits[i] with sum total."""
-    out: list[tuple[int, ...]] = []
+def _children(n: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
+              cells: tuple[tuple[int, int, int], ...], left: int | None, record: list):
+    """The canonical ways to fill row k, each as the state of row k+1.
 
-    def rec(i: int, left: int, acc: tuple[int, ...]):
-        if i == len(limits):
-            if left == 0:
-                out.append(acc)
-            return
-        tail = sum(limits[i:])
-        if left > tail:
-            return
-        for a in range(min(limits[i], left), -1, -1):
-            rec(i + 1, left - a, acc + (a,))
-
-    rec(0, total, ())
-    return out
-
-
-def _regular_children(n: int, d: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
-                      cells: tuple[tuple[int, int, int], ...], record: list):
-    """Expand row k. rows: row code values of rows 0..k-1; cells: (lo, hi,
-    residual) intervals over k..n-1; record: that of the parent's
-    canonicity search. Each child comes with the record of its own."""
-    # vertex k fronts the first cell; peel it off
-    if not cells or cells[0][0] != k:
-        raise AssertionError("cell bookkeeping broke")
-    lo, hi, r = cells[0]
-    delta = r
+    rows: row code values of rows 0..k-1; cells: (lo, hi, residual)
+    intervals over k..n-1 of vertices with equal adjacency to 0..k-1, the
+    residual being the degree cap less the degree so far; left: the edges
+    still to place in an edge-count class, None in a regular class; record:
+    that of the parent's canonicity search. Row k takes the first vertices
+    of each cell: swapping a later neighbour with an earlier non-neighbour
+    of one cell keeps rows 0..k-1 and raises row k, so a max-code graph
+    packs its rows. Each child comes with the record of its own search.
+    """
+    _, hi, r = cells[0]  # vertex k fronts the first cell
     rest = cells[1:] if hi == k else ((k + 1, hi, r),) + cells[1:]
-    limits = [hi_ - lo_ + 1 if r_ > 0 else 0 for lo_, hi_, r_ in rest]
+    future = n - k - 1
+    if left is None:
+        # regular: row k fills vertex k's residual, and the residuals left
+        # must be a degree sequence on the vertices after k
+        low = high = r
+        need = 0
+    else:
+        # edge count: row 0 gives vertex 0 its whole degree, the top one,
+        # which caps every degree. The vertices after k must have room for
+        # the ends of the edges left, min(r_, future - 1) ends for one with
+        # residual r_. Each neighbour row k takes places an edge, two ends,
+        # and costs one end of room if its residual r_ < future: a gain of
+        # w = 2 or 1 towards `need`, the ends of the edges left less the
+        # room the vertices after k have before row k
+        low, high = (r if k == 0 else 0), min(r, left)
+        need = 2 * left
+    # per cell of rest: the cell, the most neighbours row k takes there, w,
+    # and what the cells after it can add (most neighbours, most gain)
+    plan = []
+    s_hi = s_w = 0
+    for lo_, hi_, r_ in reversed(rest):
+        a_hi = hi_ - lo_ + 1 if r_ else 0
+        if left is None:
+            w = 0
+        else:
+            need -= (hi_ - lo_ + 1) * min(r_, future - 1)
+            w = 2 if r_ >= future else 1
+        plan.append((lo_, hi_, r_, a_hi, w, s_hi, s_w))
+        s_hi += a_hi
+        s_w += w * a_hi
+    # every way to fill row k, cell by cell, as (neighbours, gain, row k's
+    # mask over the vertices, row k's code value, the cells it leaves); a
+    # partial fill is cut once the cells after it cannot bring its size into
+    # low..high or, each taking all it can, its gain up to `need`
+    partial = [(0, 0, 0, 0, ())]
+    for lo_, hi_, r_, a_hi, w, s_hi, s_w in reversed(plan):
+        nxt = []
+        for total, gain, mask, row, split in partial:
+            top = high - total
+            if top > a_hi:
+                top = a_hi
+            bottom = low - total - s_hi
+            if bottom < 0:
+                bottom = 0
+            if w and bottom < (need - gain - s_w + w - 1) // w:
+                bottom = (need - gain - s_w + w - 1) // w
+            for a in range(top, bottom - 1, -1):
+                ones = (1 << a) - 1
+                if not a:
+                    parts = ((lo_, hi_, r_),)
+                elif a <= hi_ - lo_:
+                    parts = ((lo_, lo_ + a - 1, r_ - 1), (lo_ + a, hi_, r_))
+                else:
+                    parts = ((lo_, hi_, r_ - 1),)
+                nxt.append((total + a, gain + w * a, mask | ones << lo_,
+                            row | ones << (n - lo_ - a), split + parts))
+        partial = nxt
+    bit = 1 << k
     out = []
-    for counts in _compositions(limits, delta):
-        mask = 0
-        row = 0
-        new_cells = []
-        feasible = True
-        for (lo_, hi_, r_), a in zip(rest, counts):
-            if a:
-                mask |= ((1 << a) - 1) << lo_
-                row |= ((1 << a) - 1) << (n - lo_ - a)
-                new_cells.append((lo_, lo_ + a - 1, r_ - 1))
-            if lo_ + a <= hi_:
-                new_cells.append((lo_ + a, hi_, r_))
-        residuals = []
-        future = n - k - 1
-        for lo_, hi_, r_ in new_cells:
-            if r_ > max(future - 1, 0):
-                feasible = False
-                break
-            residuals.extend([r_] * (hi_ - lo_ + 1))
-        if not feasible or not _erdos_gallai(residuals):
+    for total, _, mask, row, new_cells in partial:
+        if left is None and not _erdos_gallai([(r_, hi_ - lo_ + 1)
+                                               for lo_, hi_, r_ in new_cells]):
             continue
         child = list(adj)
         child[k] |= mask
         v = mask
-        w = 0
         while v:
-            if v & 1:
-                child[w] |= 1 << k
-            v >>= 1
-            w += 1
+            low_bit = v & -v
+            v ^= low_bit
+            child[low_bit.bit_length() - 1] |= bit
         child_rows = rows + (row,)
         # row k = n-1 makes the graph whole: this is the full canonicity test
         child_record = _row_search(n, child, child_rows, k, record)
         if child_record is not None:
-            out.append((tuple(child), child_rows, tuple(new_cells), child_record))
+            out.append((k + 1, tuple(child), child_rows, new_cells,
+                        None if left is None else left - total, child_record))
     return out
 
 
-def _regular_dfs(n: int, d: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
-                 cells: tuple[tuple[int, int, int], ...], record: list, sink: list):
-    if k == n:
-        sink.append(adj)
-        return
-    for child, child_rows, new_cells, child_record in _regular_children(n, d, k, adj, rows,
-                                                                        cells, record):
-        _regular_dfs(n, d, k + 1, child, child_rows, new_cells, child_record, sink)
-
-
-def _regular_states(n: int, d: int, depth: int):
-    states = [(0, (0,) * n, (), ((0, n - 1, d),), [(0, [(1 << n) - 1], None, None)])]
+def _states(n: int, states: list, depth: int) -> list:
+    """The states `depth` rows below `states`, each as (k, adj, rows,
+    cells, left, record); a finished graph stays as it is."""
     for _ in range(depth):
         nxt = []
-        for k, adj, rows, cells, record in states:
-            if k == n:
-                nxt.append((k, adj, rows, cells, record))
-                continue
-            for child in _regular_children(n, d, k, adj, rows, cells, record):
-                nxt.append((k + 1, *child))
+        for state in states:
+            if state[0] == n:
+                nxt.append(state)
+            else:
+                nxt.extend(_children(n, *state))
         states = nxt
     return states
 
 
-def _regular_worker(args):
-    n, d, k, adj, rows, cells, record = args
+def _worker(task):
+    """The members below one task, n followed by a state, labeled canonically.
+    Depth first: the states waiting are the siblings along one path, not a
+    whole row of the tree."""
+    n, *state = task
     sink: list = []
-    _regular_dfs(n, d, k, adj, rows, cells, record, sink)
+    stack = [state]
+    while stack:
+        state = stack.pop()
+        if state[0] == n:
+            sink.append(state[1])
+        else:
+            stack.extend(_children(n, *state))
     return sink
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
-def _run_partitioned(tasks: list, worker: Callable, workers: int) -> Iterator[list]:
-    """Map worker over search-tree tasks, yielding results in task order as they land.
+def _run_partitioned(tasks: list, workers: int) -> Iterator[list]:
+    """Map `_worker` over search-tree tasks, yielding results in task order as they land.
 
     Pool workers ignore SIGINT: Ctrl-C interrupts the parent alone, and
     leaving the pool terminates them.
     """
     if workers <= 1 or len(tasks) <= 1:
-        yield from map(worker, tasks)
+        yield from map(_worker, tasks)
     else:
         import multiprocessing  # a tenth of the CLI's import time, unused at one worker
 
+        # about four chunks a worker: a round trip per task costs more than
+        # the smallest tasks take
+        chunk = -(-len(tasks) // (4 * workers))
         with multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            yield from pool.imap(worker, tasks, chunksize=1)
+            yield from pool.imap(_worker, tasks, chunksize=chunk)
 
 
-def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, Callable, str | None]:
+def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, str | None]:
     """Check a class spec against its ranges and caps, then split its search:
-    (subtree tasks, in an order that never depends on the worker count, the
-    worker expanding one task into labeled members, empty-class warning)."""
+    (subtree tasks for `_worker`, in an order that never depends on the
+    worker count, empty-class warning)."""
     n, d, m = spec.n, spec.d, spec.m
     override = " (override active)" if caps.override else ""
+    # the canonicity search before row 0: its root, stopped at level 0
+    root = [(0, [(1 << n) - 1], None, None)]
     if spec.kind == "regular":
         if n < 1 or d is None or not 0 <= d <= n - 1:
             raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n} d={d}")
@@ -608,26 +487,30 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, Callable, str 
             raise CapsExceededError(f"regular enumeration capped at n = {caps.regular_limit}"
                                     f"{override}, requested n = {n}")
         if (n * d) % 2:
-            return [], _regular_worker, "odd degree sum: class is empty"
-        depth = 2 if n >= 8 else 1
-        return ([(n, d, *state) for state in _regular_states(n, d, depth)],
-                _regular_worker, None)
-    if spec.kind == "edges":
+            return [], "odd degree sum: class is empty"
+        roots = [(0, (0,) * n, (), ((0, n - 1, d),), None, root)]
+    elif spec.kind == "edges":
         maxm = n * (n - 1) // 2
         if n < 1 or m is None or not 0 <= m <= maxm:
             raise ValueError(f"need n >= 1 and 0 <= m <= {maxm}, got n={n} m={m}")
         if n > caps.edges_limit:
             raise CapsExceededError(f"edge-count enumeration capped at n = {caps.edges_limit}"
                                     f"{override}, requested n = {n}")
-        return ([(n, m, *state) for state in _edges_states(n, m, min(m, 3))],
-                _edges_worker, None)
-    raise ValueError(f"unknown class kind {spec.kind!r}")
+        # one root per degree of vertex 0, the top one: at least the mean 2m/n
+        roots = [(0, (0,) * n, (), ((0, n - 1, top),), m, root)
+                 for top in range(-(-2 * m // n), min(n - 1, m) + 1)]
+    else:
+        raise ValueError(f"unknown class kind {spec.kind!r}")
+    # one rule for both kinds, blind to the worker count: checkpoint headers
+    # and the order of results rest on it
+    depth = 2 if n >= 8 else 1
+    return [(n, *state) for state in _states(n, roots, depth)], None
 
 
 def _enumerate(spec: GraphClassSpec, caps: Caps | None, workers: int) -> IsoClassStream:
-    tasks, worker, warning = _class_tasks(spec, caps or Caps())
+    tasks, warning = _class_tasks(spec, caps or Caps())
     # generator output is canonical already
-    graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, worker, workers)
+    graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, workers)
               for adj in labeled]
     graphs.sort(key=to_graph6)
     return IsoClassStream(spec, graphs, warning)
@@ -741,7 +624,7 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
         raise ValueError(f"output directory {folder} does not exist")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
-    tasks, worker, _ = _class_tasks(spec, caps or Caps())
+    tasks, _ = _class_tasks(spec, caps or Caps())
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
     done = _resume(ck_path, header, len(tasks))
@@ -751,7 +634,7 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
             ck.write(json.dumps(header, sort_keys=True) + "\n")
             ck.flush()
         pending = [i for i in range(len(tasks)) if i not in done]
-        results = _run_partitioned([tasks[i] for i in pending], worker, workers)
+        results = _run_partitioned([tasks[i] for i in pending], workers)
         for i, labeled in zip(pending, results, strict=True):
             # write as soon as a task lands so interruptions lose only it
             forms = sorted(to_graph6(Graph(spec.n, adj)) for adj in labeled)

@@ -263,16 +263,18 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
     args = ["enumerate", "--class", "s", "--n", "6", "--m", "7", "--workers", "1", "--out"]
     clean = tmp_path / "clean.g6"
     assert main(args + [str(clean)]) == 0
+    tasks, _ = enum._class_tasks(enum.GraphClassSpec("edges", 6, m=7), enum.Caps())
+    assert sum(1 for task in tasks if enum._worker(task)) >= 2  # the resume skips work
     out = tmp_path / "s67.g6"
     ck = tmp_path / "s67.g6.checkpoint"
-    real_worker = enum._edges_worker
+    real_worker = enum._worker
 
     def interrupted(task):
         if ck.exists() and ck.read_text().count("\n") >= 2:  # header and one record
             raise KeyboardInterrupt
         return real_worker(task)
 
-    monkeypatch.setattr(enum, "_edges_worker", interrupted)
+    monkeypatch.setattr(enum, "_worker", interrupted)
     capsys.readouterr()
     assert main(args + [str(out)]) == 130
     err = capsys.readouterr().err
@@ -280,7 +282,7 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert ck.read_text().count("\n") == 2 and not out.exists()
 
-    monkeypatch.setattr(enum, "_edges_worker", real_worker)
+    monkeypatch.setattr(enum, "_worker", real_worker)
     assert main(args + [str(out)]) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not ck.exists()

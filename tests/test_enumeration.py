@@ -1,7 +1,8 @@
 import json
 import math
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,8 @@ from treeopt.enumeration import (
     CANONICAL_HARD_CAP,
     Caps,
     GraphClassSpec,
-    _beaten,
-    _is_row_canonical,
-    _row_vals,
+    _class_tasks,
+    _erdos_gallai,
     are_isomorphic,
     canonical_form,
     canonical_relabel,
@@ -107,7 +107,113 @@ def test_canonical_relabel_has_the_largest_row_code(g):
 
 
 # ---------------------------------------------------------------------------
-# the orderly generators' canonicity kernel against brute force
+# the orderly generator's canonicity kernel against brute force
+
+def _row_vals(n, adj):
+    return [sum((adj[i] >> j & 1) << (n - 1 - j) for j in range(i + 1, n))
+            for i in range(n)]
+
+
+def _beaten(n, adj, rowvals, depth, candidate_cap):
+    """Does some relabeling give a strictly larger row-code prefix?
+
+    The oracle for `_row_search`: the same search run from the root, with
+    no record to carry on from. The tests below check it against brute
+    force.
+
+    Compares rows 0..depth-1 only, drawing adversary vertices below
+    candidate_cap (pass n for a complete graph). Cells are int bitmasks of
+    the vertices not yet assigned a new label, in label order; packing
+    neighbors first inside each cell is the best the adversary can do at a
+    row, ties refine the cells. The target row, cut at the cells, asks for a
+    number of neighbors in each cell, so a candidate is compared one cell at
+    a time: it wins at the first cell where it has more, drops out at the
+    first where it has fewer, and only a tie builds the refined cells.
+    Twins of either kind (equal open or equal closed neighborhoods) are
+    tried once: swapping two of them inside the first cell is an
+    automorphism fixing the labeled prefix and every cell.
+    """
+    cap = (1 << candidate_cap) - 1
+    stop = min(depth, n - 1)  # row n-1 is empty and always ties
+
+    def discrete(level, cells):
+        # singleton cells fix the rest of the labeling: compare its rows
+        weight = [0] * n
+        rest = 0
+        for label, cell in enumerate(cells, level):
+            weight[cell.bit_length() - 1] = 1 << (n - 1 - label)
+            rest |= cell
+        for label in range(level, stop):
+            bit = cells[label - level]
+            if not bit & cap:
+                return False
+            rest ^= bit
+            nb = adj[bit.bit_length() - 1] & rest
+            val = 0
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                val |= weight[low.bit_length() - 1]
+            if val != rowvals[label]:
+                return val > rowvals[label]
+        return False
+
+    def dfs(level, cells):
+        if level == stop:
+            return False
+        if len(cells) == n - level:
+            return discrete(level, cells)
+        target = rowvals[level]
+        width = n - 1 - level
+        # per cell: (cell, neighbors a tie needs, the target segment is 1..10..0)
+        needs = []
+        first = True
+        for cell in cells:
+            size = cell.bit_count() - first
+            first = False
+            width -= size
+            holes = (target >> width & ((1 << size) - 1)) ^ ((1 << size) - 1)
+            exact = holes & (holes + 1) == 0
+            needs.append((cell, size - holes.bit_length(), exact))
+            if not exact:
+                break
+        seen = set()
+        pool = cells[0] & cap
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            row = adj[bit.bit_length() - 1]
+            for cell, need, exact in needs:
+                k = (cell & row).bit_count()
+                if k > need:
+                    return True
+                if k < need or not exact:
+                    break
+            else:
+                # a twin compares the same, so the check waits for a tie
+                closed = ~(row | bit)
+                if row in seen or closed in seen:
+                    continue
+                seen.add(row)
+                seen.add(closed)
+                split = []
+                for cell in cells:
+                    cell &= ~bit
+                    nb = cell & row
+                    if nb:
+                        split.append(nb)
+                    if cell ^ nb:
+                        split.append(cell ^ nb)
+                if dfs(level + 1, split):
+                    return True
+        return False
+
+    return dfs(0, [(1 << n) - 1])
+
+
+def _is_row_canonical(n, adj):
+    return not _beaten(n, adj, _row_vals(n, adj), n, n)
+
 
 def _rows_under(n, rows, order):
     # row code of the relabeling that gives vertex order[t] the label t
@@ -173,9 +279,10 @@ def test_kernel_on_random_graphs_with_planted_twins():
 
 
 def test_row_search_agrees_with_the_search_from_the_root(monkeypatch):
-    # on every R_d(n) with n <= 10, every candidate row the regular generator
-    # tries, accepted or rejected, gets from the search carried on from its
-    # parent's record the verdict of `_beaten` run from the root
+    # every candidate row the generator tries, accepted or rejected, gets
+    # from the search carried on from its parent's record the verdict of
+    # `_beaten` run from the root: on every R_d(n) with n <= 10, every S(n, m)
+    # with n <= 7, and S(8, 12)
     row_search = enumeration._row_search
     verdicts = {True: 0, False: 0}
 
@@ -190,6 +297,26 @@ def test_row_search_agrees_with_the_search_from_the_root(monkeypatch):
         for d in range(n):
             enumerate_regular(n, d)
     assert verdicts == {True: 937, False: 2131}  # rejected, accepted
+    verdicts.update({True: 0, False: 0})
+    for n in range(1, 8):
+        for m in range(n * (n - 1) // 2 + 1):
+            enumerate_by_edges(n, m)
+    enumerate_by_edges(8, 12)
+    assert verdicts == {True: 5963, False: 12421}
+
+
+def test_erdos_gallai_matches_brute_force_graphicality():
+    # every sequence of length p <= 6 over -1..p, given as one pair per entry
+    # and as (value, count) pairs, against the degree sequences of all
+    # labeled graphs on p vertices
+    assert _erdos_gallai([])
+    for p in range(1, 7):
+        graphic = {tuple(sorted(graph_from_mask(p, mask).degrees()))
+                   for mask in range(1 << (p * (p - 1) // 2))}
+        for seq in product(range(-1, p + 1), repeat=p):
+            expect = tuple(sorted(seq)) in graphic
+            assert _erdos_gallai([(v, 1) for v in seq]) == expect, seq
+            assert _erdos_gallai(list(Counter(seq).items())) == expect, seq
 
 
 def test_enumerator_members_are_fixed_points():
@@ -320,6 +447,13 @@ def test_worker_count_does_not_change_results():
         assert [to_graph6(g) for g in enumerate_regular(8, 3, workers=workers)] == base
     edges_base = [to_graph6(g) for g in enumerate_by_edges(6, 7, workers=1)]
     assert [to_graph6(g) for g in enumerate_by_edges(6, 7, workers=3)] == edges_base
+    # on classes whose partition really splits the work
+    for spec in [GraphClassSpec("edges", 8, m=12), GraphClassSpec("regular", 10, d=4)]:
+        tasks, _ = _class_tasks(spec, Caps())
+        assert sum(1 for task in tasks if enumeration._worker(task)) >= 2, spec
+        runs = {workers: [to_graph6(g) for g in enumeration._enumerate(spec, None, workers)]
+                for workers in (1, 2, 8)}
+        assert runs[1] and runs[2] == runs[1] and runs[8] == runs[1], spec
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +523,22 @@ def test_spool_resumes_from_checkpoint(tmp_path, monkeypatch):
 
     spec = GraphClassSpec("edges", 6, m=7)
     out = tmp_path / "s67.g6"
-    real_worker = enum._edges_worker
+    real_worker = enum._worker
 
     calls = []
+    found = []
 
     def counting(task):
         calls.append(task)
-        return real_worker(task)
+        members = real_worker(task)
+        found.append(len(members))
+        return members
 
-    monkeypatch.setattr(enum, "_edges_worker", counting)
+    monkeypatch.setattr(enum, "_worker", counting)
     total = spool_class(spec, str(out))
     full_runs = len(calls)
-    assert full_runs >= 2  # otherwise the resume test is vacuous
+    # otherwise the resume test is vacuous
+    assert full_runs >= 2 and sum(1 for count in found if count) >= 2
     baseline = _spool_forms(out)
 
     # crash after the first completed task, then resume
@@ -413,14 +551,14 @@ def test_spool_resumes_from_checkpoint(tmp_path, monkeypatch):
         calls.append(task)
         return real_worker(task)
 
-    monkeypatch.setattr(enum, "_edges_worker", crashing)
+    monkeypatch.setattr(enum, "_worker", crashing)
     with pytest.raises(RuntimeError):
         spool_class(spec, str(out2))
     assert (tmp_path / "s67b.g6.checkpoint").exists()
     assert not out2.exists()
 
     calls.clear()
-    monkeypatch.setattr(enum, "_edges_worker", counting)
+    monkeypatch.setattr(enum, "_worker", counting)
     assert spool_class(spec, str(out2)) == total
     assert len(calls) == full_runs - 1  # the finished task was not recomputed
     assert _spool_forms(out2) == baseline
@@ -439,15 +577,16 @@ def test_spool_resumes_from_a_torn_checkpoint(tmp_path, monkeypatch):
     clean = out.read_bytes()
     full = ck.read_bytes()
     ntasks = full.count(b"\n") - 1
-    assert ntasks >= 2
-    real_worker = enum._edges_worker
+    records = [json.loads(line) for line in full.splitlines()[1:]]
+    assert ntasks >= 2 and sum(1 for rec in records if rec["graphs"]) >= 2
+    real_worker = enum._worker
     calls = []
 
     def counting(task):
         calls.append(task)
         return real_worker(task)
 
-    monkeypatch.setattr(enum, "_edges_worker", counting)
+    monkeypatch.setattr(enum, "_worker", counting)
     for cut in range(len(full) + 1):
         out.unlink(missing_ok=True)
         ck.write_bytes(full[:cut])

@@ -13,8 +13,6 @@ from .certify import (
     INCONCLUSIVE,
     REFUTED,
     SCHEMA_VERSION,
-    STRUCTURED,
-    TEXT,
     TOOL_VERSION,
     VERIFIED,
     Certificate,

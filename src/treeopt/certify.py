@@ -2,9 +2,10 @@
 
 Each command enumerates a finite class, decides a verdict, and packages
 the evidence (winners, divergence witnesses, method) so a run can be
-replayed or diffed. STRUCTURED output is a single JSON object with every
-integer rendered as a decimal string; byte-identical across worker counts
-apart from the elapsed and tool_version fields.
+replayed or diffed. Every structured payload is written by `payload_json`:
+a single JSON object with every integer rendered as a decimal string,
+byte-identical across worker counts apart from the elapsed and tool_version
+fields.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .bounds import girth_certificate
 from .enumeration import (
     Caps,
     GraphClassSpec,
+    IsoClassStream,
     canonical_form,
     enumerate_by_edges,
     enumerate_regular,
@@ -47,13 +49,21 @@ INCONCLUSIVE = "INCONCLUSIVE"
 EXHAUSTIVE = "EXHAUSTIVE"
 GIRTH_CERTIFICATE = "GIRTH_CERTIFICATE"
 
-TEXT = "TEXT"
-STRUCTURED = "STRUCTURED"
-
 # recorded whenever a command touches the n(n-5)/2 edge classes: uniqueness
 # of the H family is a threshold claim, desk-scale sweeps are evidence only
 H_FAMILY_NOTE = ("h-family uniqueness is a large-n threshold claim; at this "
                  "size the exhaustive table is evidence, not the claim itself")
+
+
+def payload_json(payload: dict) -> str:
+    """A payload stamped with the schema and tool versions, as indented JSON."""
+    stamped = {**payload, "schema_version": SCHEMA_VERSION, "tool_version": TOOL_VERSION}
+    return json.dumps(stamped, indent=2, sort_keys=True) + "\n"
+
+
+def class_spec_payload(spec: GraphClassSpec) -> dict:
+    """The class spec as payloads carry it, every value a string."""
+    return {k: str(v) for k, v in spec.to_dict().items()}
 
 
 @dataclass(frozen=True)
@@ -93,14 +103,12 @@ class Certificate:
     method: str
     class_size: int
     elapsed_ms: int
-    tool_version: str = TOOL_VERSION
-    schema_version: str = SCHEMA_VERSION
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
             "command": self.command,
-            "class_spec": {k: str(v) for k, v in self.class_spec.to_dict().items()},
+            "class_spec": class_spec_payload(self.class_spec),
             "candidate": self.candidate,
             "verdict": self.verdict,
             "winners": list(self.winners),
@@ -108,15 +116,13 @@ class Certificate:
             "method": self.method,
             "class_size": str(self.class_size),
             "elapsed_ms": str(self.elapsed_ms),
-            "tool_version": self.tool_version,
-            "schema_version": self.schema_version,
         }
         for k, v in sorted(self.extra.items()):
             out[k] = v
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return payload_json(self.to_dict())
 
     def render_text(self) -> str:
         spec = self.class_spec.to_dict()
@@ -145,7 +151,6 @@ class Certificate:
 class RunConfig:
     worker_count: int = 1
     caps: Caps = field(default_factory=Caps)
-    format: str = TEXT
 
 
 def _elapsed_ms(t0: float) -> int:
@@ -167,12 +172,24 @@ def _require_regular(candidate: Graph, n: int, d: int) -> None:
         raise ValueError(f"candidate is not {d}-regular")
 
 
-def _locate(cand_form: str, graphs: list[Graph]) -> tuple[list[str], int]:
-    """Members' graph6 forms (canonical already) and the candidate's index."""
-    forms = [to_graph6(g) for g in graphs]
+def _locate(cand_form: str, forms: list[str]) -> int:
+    """The candidate's index among the members' (canonical) graph6 forms."""
     if cand_form not in forms:
         raise InternalConsistencyError("candidate missing from its own class")
-    return forms, forms.index(cand_form)
+    return forms.index(cand_form)
+
+
+def _ranked_by_edges(n: int, m: int, config: RunConfig
+                     ) -> tuple[IsoClassStream, list[tuple[int, str, Graph]], str | None]:
+    """S_{n,m} as (t, canonical graph6, graph) rows, ordered by t descending
+    and then graph6 ascending, plus the H family's form when m = n(n-5)/2."""
+    stream = enumerate_by_edges(n, m, config.caps, config.worker_count)
+    h_form = None
+    if n >= 5 and m == n * (n - 5) // 2:
+        h_form = canonical_form(h_family(n))
+    ranked = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in stream.graphs),
+                    key=lambda r: (-r[0], r[1]))
+    return stream, ranked, h_form
 
 
 def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
@@ -204,7 +221,7 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
             len(probe_stream), _elapsed_ms(t0), extra=extra))
     stream = (probe_stream if kind == ADJACENCY
               else enumerate_regular(n, d, config.caps, config.worker_count))
-    _, idx = _locate(cand_form, stream.graphs)
+    idx = _locate(cand_form, [to_graph6(g) for g in stream.graphs])
     minima, records = select_lex_minima(stream.graphs, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
     rec = records[idx]
@@ -237,19 +254,17 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
         raise ValueError(
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
-    stream = enumerate_by_edges(n, m, config.caps, config.worker_count)
+    stream, ranked, h_form = _ranked_by_edges(n, m, config)
     cand_form = canonical_form(candidate)
-    forms, idx = _locate(cand_form, stream.graphs)
-    tvals = [spanning_tree_count(g) for g in stream.graphs]
-    tmax = max(tvals)
-    winners = tuple(sorted(f for f, t in zip(forms, tvals) if t == tmax))
-    cand_t = tvals[idx]
+    cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][0]
+    tmax = ranked[0][0]
+    winners = tuple(form for t, form, _ in ranked if t == tmax)
     extra = {
         "candidate_t": str(cand_t),
         "max_t": str(tmax),
         "unique": len(winners) == 1,
     }
-    if n >= 5 and m == n * (n - 5) // 2 and cand_form == canonical_form(h_family(n)):
+    if cand_form == h_form:
         extra["note"] = H_FAMILY_NOTE
     witnesses = () if cand_t == tmax else tuple(
         Witness(w, None, str(tmax), str(cand_t)) for w in winners)
@@ -307,15 +322,10 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
-    stream = enumerate_by_edges(n, m, config.caps, config.worker_count)
-    h_form = None
-    if n >= 5 and m == n * (n - 5) // 2:
-        h_form = canonical_form(h_family(n))
-    scored = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in stream.graphs),
-                    key=lambda r: (-r[0], r[1]))
+    stream, ranked, h_form = _ranked_by_edges(n, m, config)
     rows = []
     h_rank = None
-    for rank, (t, form, g) in enumerate(scored, start=1):
+    for rank, (t, form, g) in enumerate(ranked, start=1):
         if form == h_form:
             h_rank = rank
         info = degree_info(g)
@@ -331,12 +341,10 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
         })
     report = {
         "command": "report",
-        "class_spec": {k: str(v) for k, v in stream.spec.to_dict().items()},
+        "class_spec": class_spec_payload(stream.spec),
         "class_size": str(len(stream)),
         "rows": rows,
         "elapsed_ms": str(_elapsed_ms(t0)),
-        "tool_version": TOOL_VERSION,
-        "schema_version": SCHEMA_VERSION,
     }
     if h_form is not None:
         report["h_family_rank"] = None if h_rank is None else str(h_rank)
@@ -345,7 +353,7 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return payload_json(report)
 
 
 def report_render_text(report: dict) -> str:

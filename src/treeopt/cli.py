@@ -7,25 +7,22 @@ checkpoint, and the same command resumes from it).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
 
 from .bounds import improved_bound, n0_threshold
 from .certify import (
-    SCHEMA_VERSION,
-    STRUCTURED,
-    TEXT,
-    TOOL_VERSION,
     VERIFIED,
     RunConfig,
+    class_spec_payload,
     cmd_check_duality,
     cmd_report_class,
     cmd_verify_l_trace_minimal,
     cmd_verify_t_optimal,
     cmd_verify_trace_minimal,
     construct_summary,
+    payload_json,
     report_render_text,
     report_to_json,
 )
@@ -64,66 +61,51 @@ def _config(ns) -> RunConfig:
     workers = ns.workers if ns.workers is not None else _default_workers()
     if workers < 1:
         raise ValueError("--workers must be positive")
-    fmt = STRUCTURED if ns.format == "structured" else TEXT
-    return RunConfig(worker_count=workers, caps=Caps(override=ns.caps_override), format=fmt)
+    return RunConfig(worker_count=workers, caps=Caps(override=ns.caps_override))
 
 
-def _emit_payload(config: RunConfig, payload: dict, text: str) -> None:
-    if config.format == STRUCTURED:
-        payload.setdefault("schema_version", SCHEMA_VERSION)
-        payload.setdefault("tool_version", TOOL_VERSION)
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text)
+# Each `_run_*` returns (exit code, structured output, text output), the two
+# outputs as thunks: `main` renders only the one --format asks for.
+def _plain(payload: dict, text: str):
+    return EXIT_OK, lambda: payload_json(payload), lambda: text
 
 
-def _emit_certificate(config: RunConfig, cert) -> int:
-    sys.stdout.write(cert.to_json() if config.format == STRUCTURED
-                     else cert.render_text())
-    return EXIT_OK if cert.verdict == VERIFIED else EXIT_REFUTED
+def _certificate(cert):
+    return (EXIT_OK if cert.verdict == VERIFIED else EXIT_REFUTED,
+            cert.to_json, cert.render_text)
 
 
-def _run_count(ns) -> int:
-    config = _config(ns)
+def _run_count(ns, config):
     g = from_graph6(ns.g6)
     t = spanning_tree_count(g)
-    _emit_payload(config,
-                  {"command": "count", "graph6": ns.g6, "n": str(g.n),
+    return _plain({"command": "count", "graph6": ns.g6, "n": str(g.n),
                    "m": str(g.m), "t": str(t)},
                   f"t = {t}\n")
-    return EXIT_OK
 
 
-def _run_seq(ns) -> int:
-    config = _config(ns)
+def _run_seq(ns, config):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
     seq = (laplacian_sequence if ns.kind == "lap" else adjacency_sequence)(g, ns.k)
     vals = " ".join(str(v) for v in seq.values)
-    _emit_payload(config,
-                  {"command": "seq", "kind": ns.kind, "graph6": ns.g6,
+    return _plain({"command": "seq", "kind": ns.kind, "graph6": ns.g6,
                    "k": str(ns.k), "values": [str(v) for v in seq.values]},
                   f"{ns.kind} traces k=1..{ns.k}: {vals}\n")
-    return EXIT_OK
 
 
-def _run_gaps(ns) -> int:
-    config = _config(ns)
+def _run_gaps(ns, config):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
     gaps = gap_sequence(g, ns.k)
     vals = " ".join(str(v) for v in gaps.values)
-    _emit_payload(config,
-                  {"command": "gaps", "graph6": ns.g6, "k": str(ns.k),
+    return _plain({"command": "gaps", "graph6": ns.g6, "k": str(ns.k),
                    "values": [str(v) for v in gaps.values]},
                   f"gaps k=1..{ns.k}: {vals}\n")
-    return EXIT_OK
 
 
-def _run_verify(ns) -> int:
-    config = _config(ns)
+def _run_verify(ns, config):
     g = from_graph6(ns.g6)
     if ns.mode == "t-optimal":
         if ns.m is None:
@@ -135,17 +117,14 @@ def _run_verify(ns) -> int:
         cmd = (cmd_verify_trace_minimal if ns.mode == "trace-min"
                else cmd_verify_l_trace_minimal)
         cert = cmd(g, ns.n, ns.d, config)
-    return _emit_certificate(config, cert)
+    return _certificate(cert)
 
 
-def _run_duality(ns) -> int:
-    config = _config(ns)
-    cert = cmd_check_duality(ns.n, ns.d, config)
-    return _emit_certificate(config, cert)
+def _run_duality(ns, config):
+    return _certificate(cmd_check_duality(ns.n, ns.d, config))
 
 
-def _run_construct(ns) -> int:
-    config = _config(ns)
+def _run_construct(ns, config):
     if ns.family == "h":
         if ns.n is None:
             raise ValueError("construct h needs --n")
@@ -166,12 +145,10 @@ def _run_construct(ns) -> int:
     text = (f"{s['graph6']}\n"
             f"n={s['n']} m={s['m']} degrees {s['degree_min']}..{s['degree_max']} "
             f"girth {s['girth']}\n")
-    _emit_payload(config, {"command": "construct", "family": ns.family, **s}, text)
-    return EXIT_OK
+    return _plain({"command": "construct", "family": ns.family, **s}, text)
 
 
-def _run_enumerate(ns) -> int:
-    config = _config(ns)
+def _run_enumerate(ns, config):
     if ns.klass == "r":
         if ns.d is None:
             raise ValueError("--class r needs --d")
@@ -180,32 +157,27 @@ def _run_enumerate(ns) -> int:
         if ns.m is None:
             raise ValueError("--class s needs --m")
         spec = GraphClassSpec("edges", ns.n, m=ns.m)
+    payload = {"command": "enumerate", "class_spec": class_spec_payload(spec)}
     if ns.out:
         count = spool_class(spec, ns.out, config.caps, config.worker_count)
-        _emit_payload(config,
-                      {"command": "enumerate", "out": ns.out, "count": str(count),
-                       "class_spec": {k: str(v) for k, v in spec.to_dict().items()}},
-                      f"{count} classes written to {ns.out}\n")
-        return EXIT_OK
-    if spec.kind == "regular":
-        stream = enumerate_regular(ns.n, ns.d, config.caps, config.worker_count)
+        payload.update(out=ns.out, count=str(count))
+        text = f"{count} classes written to {ns.out}\n"
     else:
-        stream = enumerate_by_edges(ns.n, ns.m, config.caps, config.worker_count)
-    forms = [to_graph6(g) for g in stream.graphs]
-    lines = "".join(f"{f}\n" for f in forms)
-    payload = {"command": "enumerate", "count": str(len(stream)),
-               "class_spec": {k: str(v) for k, v in spec.to_dict().items()},
-               "graphs": forms}
-    if stream.warning:
-        payload["warning"] = stream.warning
-        if config.format == TEXT:
-            print(f"warning: {stream.warning}", file=sys.stderr)
-    _emit_payload(config, payload, lines)
-    return EXIT_OK
+        if spec.kind == "regular":
+            stream = enumerate_regular(ns.n, ns.d, config.caps, config.worker_count)
+        else:
+            stream = enumerate_by_edges(ns.n, ns.m, config.caps, config.worker_count)
+        forms = [to_graph6(g) for g in stream.graphs]
+        payload.update(count=str(len(forms)), graphs=forms)
+        text = "".join(f"{f}\n" for f in forms)
+    if spec.warning:
+        payload["warning"] = spec.warning
+        if ns.format == "text":
+            print(f"warning: {spec.warning}", file=sys.stderr)
+    return _plain(payload, text)
 
 
-def _run_bound(ns) -> int:
-    config = _config(ns)
+def _run_bound(ns, config):
     g = from_graph6(ns.g6)
     report = improved_bound(g, ns.c)
     payload = {
@@ -223,26 +195,19 @@ def _run_bound(ns) -> int:
             f"slack: {report.slack!r}\n"
             f"equality: {report.equality_flag}\n"
             f"connected complement: {report.connected_complement}\n")
-    _emit_payload(config, payload, text)
-    return EXIT_OK
+    return _plain(payload, text)
 
 
-def _run_report(ns) -> int:
-    config = _config(ns)
+def _run_report(ns, config):
     report = cmd_report_class(ns.n, ns.m, config)
-    sys.stdout.write(report_to_json(report) if config.format == STRUCTURED
-                     else report_render_text(report))
-    return EXIT_OK
+    return EXIT_OK, lambda: report_to_json(report), lambda: report_render_text(report)
 
 
-def _run_threshold(ns) -> int:
-    config = _config(ns)
+def _run_threshold(ns, config):
     value = n0_threshold(ns.g0_order, ns.d, ns.c)
-    _emit_payload(config,
-                  {"command": "threshold", "g0_order": str(ns.g0_order),
+    return _plain({"command": "threshold", "g0_order": str(ns.g0_order),
                    "d": str(ns.d), "c": str(ns.c), "n0": str(value)},
                   f"n0 = {value}\n")
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +295,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        return ns.func(ns)
+        code, structured, text = ns.func(ns, _config(ns))
+        sys.stdout.write(structured() if ns.format == "structured" else text())
+        return code
     except (Graph6Error, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -73,14 +73,24 @@ class GraphClassSpec:
             out["m"] = self.m
         return out
 
+    @property
+    def warning(self) -> str | None:
+        """Why the class is empty, when its parameters alone say so."""
+        if self.kind == "regular" and self.d is not None and self.n * self.d % 2:
+            return "odd degree sum: class is empty"
+        return None
+
 
 class IsoClassStream:
     """Materialized class members, canonical representatives, sorted."""
 
-    def __init__(self, spec: GraphClassSpec, graphs: list[Graph], warning: str | None = None):
+    def __init__(self, spec: GraphClassSpec, graphs: list[Graph]):
         self.spec = spec
         self.graphs = graphs
-        self.warning = warning
+
+    @property
+    def warning(self) -> str | None:
+        return self.spec.warning
 
     def __iter__(self) -> Iterator[Graph]:
         return iter(self.graphs)
@@ -212,10 +222,14 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
     node. Rows 0..k-1 and the adjacency of vertices 0..k-1 are the same in
     parent and child, and vertex k is the largest candidate, so every node
     tries it last: the result is the search from the root, node for node.
+    Row n-1 is empty and always ties, so row n-2's search is the whole
+    graph's: vertex n-1 is a new candidate there too.
     """
     newest = 1 << k
-    cap = (newest << 1) - 1
-    stop = min(k + 1, n - 1)  # row n-1 is empty and always ties
+    if k == n - 2:
+        newest |= 1 << k + 1
+    cap = (1 << newest.bit_length()) - 1
+    stop = k + 1
     out: list = []
 
     def discrete(level: int, cells: list[int]) -> bool:
@@ -303,7 +317,7 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
             if dfs(level, cells):
                 return None
         elif cells[0] & newest:
-            if dfs(level, cells, needs, set(seen), newest):
+            if dfs(level, cells, needs, set(seen), cells[0] & newest):
                 return None
         elif cells[0] >> k + 1:
             out.append((level, cells, needs, seen))
@@ -413,7 +427,7 @@ def _children(n: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
             v ^= low_bit
             child[low_bit.bit_length() - 1] |= bit
         child_rows = rows + (row,)
-        # row k = n-1 makes the graph whole: this is the full canonicity test
+        # row k = n-2 makes the graph whole: this is the full canonicity test
         child_record = _row_search(n, child, child_rows, k, record)
         if child_record is not None:
             out.append((k + 1, tuple(child), child_rows, new_cells,
@@ -423,11 +437,12 @@ def _children(n: int, k: int, adj: tuple[int, ...], rows: tuple[int, ...],
 
 def _states(n: int, states: list, depth: int) -> list:
     """The states `depth` rows below `states`, each as (k, adj, rows,
-    cells, left, record); a finished graph stays as it is."""
+    cells, left, record); a finished graph (k = n-1: the last row is
+    empty) stays as it is."""
     for _ in range(depth):
         nxt = []
         for state in states:
-            if state[0] == n:
+            if state[0] == n - 1:
                 nxt.append(state)
             else:
                 nxt.extend(_children(n, *state))
@@ -444,7 +459,7 @@ def _worker(task):
     stack = [state]
     while stack:
         state = stack.pop()
-        if state[0] == n:
+        if state[0] == n - 1:
             sink.append(state[1])
         else:
             stack.extend(_children(n, *state))
@@ -460,7 +475,8 @@ def _run_partitioned(tasks: list, workers: int) -> Iterator[list]:
     Pool workers ignore SIGINT: Ctrl-C interrupts the parent alone, and
     leaving the pool terminates them.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         yield from map(_worker, tasks)
     else:
         import multiprocessing  # a tenth of the CLI's import time, unused at one worker
@@ -472,10 +488,10 @@ def _run_partitioned(tasks: list, workers: int) -> Iterator[list]:
             yield from pool.imap(_worker, tasks, chunksize=chunk)
 
 
-def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, str | None]:
-    """Check a class spec against its ranges and caps, then split its search:
-    (subtree tasks for `_worker`, in an order that never depends on the
-    worker count, empty-class warning)."""
+def _class_tasks(spec: GraphClassSpec, caps: Caps) -> list:
+    """Check a class spec against its ranges and caps, then split its search
+    into subtree tasks for `_worker`, in an order that never depends on the
+    worker count."""
     n, d, m = spec.n, spec.d, spec.m
     override = " (override active)" if caps.override else ""
     # the canonicity search before row 0: its root, stopped at level 0
@@ -486,8 +502,8 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, str | None]:
         if n > caps.regular_limit:
             raise CapsExceededError(f"regular enumeration capped at n = {caps.regular_limit}"
                                     f"{override}, requested n = {n}")
-        if (n * d) % 2:
-            return [], "odd degree sum: class is empty"
+        if spec.warning:
+            return []
         roots = [(0, (0,) * n, (), ((0, n - 1, d),), None, root)]
     elif spec.kind == "edges":
         maxm = n * (n - 1) // 2
@@ -504,16 +520,16 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> tuple[list, str | None]:
     # one rule for both kinds, blind to the worker count: checkpoint headers
     # and the order of results rest on it
     depth = 2 if n >= 8 else 1
-    return [(n, *state) for state in _states(n, roots, depth)], None
+    return [(n, *state) for state in _states(n, roots, depth)]
 
 
 def _enumerate(spec: GraphClassSpec, caps: Caps | None, workers: int) -> IsoClassStream:
-    tasks, warning = _class_tasks(spec, caps or Caps())
+    tasks = _class_tasks(spec, caps or Caps())
     # generator output is canonical already
     graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, workers)
               for adj in labeled]
     graphs.sort(key=to_graph6)
-    return IsoClassStream(spec, graphs, warning)
+    return IsoClassStream(spec, graphs)
 
 
 def enumerate_regular(n: int, d: int, caps: Caps | None = None,
@@ -624,7 +640,7 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
         raise ValueError(f"output directory {folder} does not exist")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
-    tasks, _ = _class_tasks(spec, caps or Caps())
+    tasks = _class_tasks(spec, caps or Caps())
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
     done = _resume(ck_path, header, len(tasks))

@@ -20,6 +20,10 @@ from treeopt.certify import (
     report_to_json,
 )
 from treeopt.enumeration import (
+    Caps,
+    GraphClassSpec,
+    _class_tasks,
+    _worker,
     are_isomorphic,
     canonical_form,
     enumerate_almost_regular,
@@ -215,6 +219,9 @@ def test_criterion_09_ladder_consistency():
 
 
 def test_criterion_10_parallel_determinism():
+    # the classes below really split: R_3(8) (duality) and S(6,9) (t-optimal)
+    for spec in (GraphClassSpec("regular", 8, d=3), GraphClassSpec("edges", 6, m=9)):
+        assert sum(1 for task in _class_tasks(spec, Caps()) if _worker(task)) >= 2, spec
     two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
     runs = [
         (lambda cfg: cmd_verify_trace_minimal(h_family(8), 8, 3, cfg), VERIFIED),

@@ -91,7 +91,7 @@ def test_caps_override(capsys):
     assert len(lines) == 2
 
 
-def test_enumerate_parity_warning(capsys):
+def test_enumerate_parity_warning(tmp_path, capsys):
     assert main(["enumerate", "--class", "r", "--n", "5", "--d", "3"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "" and "warning:" in captured.err
@@ -100,6 +100,18 @@ def test_enumerate_parity_warning(capsys):
                  "--format", "structured"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["graphs"] == [] and "warning" in payload
+
+    out = tmp_path / "r53.g6"
+    assert main(["enumerate", "--class", "r", "--n", "5", "--d", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"0 classes written to {out}\n" and "warning:" in captured.err
+    assert out.read_text() == ""
+
+    assert main(["enumerate", "--class", "r", "--n", "5", "--d", "3", "--out", str(out),
+                 "--format", "structured"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["count"] == "0" and "warning" in payload and captured.err == ""
 
 
 def test_enumerate_stream(capsys):
@@ -223,6 +235,30 @@ def test_report_text_and_structured(capsys):
     assert payload["rows"][0]["t"] == "81"
 
 
+@pytest.mark.parametrize("args", [
+    ["count", "--g6", g6_k33],
+    ["seq", "--kind", "lap", "--k", "3", "--g6", g6_c6],
+    ["gaps", "--k", "4", "--g6", "Bg"],
+    ["verify", "t-optimal", "--n", "6", "--m", "9", "--g6", g6_k33],
+    ["verify", "trace-min", "--n", "6", "--d", "2", "--g6", g6_2c3],
+    ["verify", "ltrace-min", "--n", "6", "--d", "2", "--g6", g6_c6],
+    ["duality", "--n", "6", "--d", "2"],
+    ["construct", "h", "--n", "7"],
+    ["enumerate", "--class", "r", "--n", "6", "--d", "2"],
+    ["enumerate", "--class", "r", "--n", "6", "--d", "2", "--out", "@OUT"],
+    ["bound", "--c", "3", "--g6", g6_2k2],
+    ["report", "--n", "6", "--m", "9"],
+    ["threshold", "--g0-order", "5", "--d", "4", "--c", "1"],
+])
+def test_structured_output_carries_one_stamp(tmp_path, capsys, args):
+    args = [str(tmp_path / "f.g6") if a == "@OUT" else a for a in args]
+    assert main([*args, "--format", "structured"]) in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"]
+    assert payload["schema_version"] == "2"
+    assert payload["tool_version"] == "0.1.0"
+
+
 def test_help_and_unknown_commands(capsys):
     assert main(["--help"]) == 0
     assert main(["nope"]) == 2
@@ -263,7 +299,7 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
     args = ["enumerate", "--class", "s", "--n", "6", "--m", "7", "--workers", "1", "--out"]
     clean = tmp_path / "clean.g6"
     assert main(args + [str(clean)]) == 0
-    tasks, _ = enum._class_tasks(enum.GraphClassSpec("edges", 6, m=7), enum.Caps())
+    tasks = enum._class_tasks(enum.GraphClassSpec("edges", 6, m=7), enum.Caps())
     assert sum(1 for task in tasks if enum._worker(task)) >= 2  # the resume skips work
     out = tmp_path / "s67.g6"
     ck = tmp_path / "s67.g6.checkpoint"

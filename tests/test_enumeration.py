@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -282,13 +283,15 @@ def test_row_search_agrees_with_the_search_from_the_root(monkeypatch):
     # every candidate row the generator tries, accepted or rejected, gets
     # from the search carried on from its parent's record the verdict of
     # `_beaten` run from the root: on every R_d(n) with n <= 10, every S(n, m)
-    # with n <= 7, and S(8, 12)
+    # with n <= 7, and S(8, 12). Row n-2's search is the whole graph's, with
+    # vertex n-1 a candidate too
     row_search = enumeration._row_search
     verdicts = {True: 0, False: 0}
 
     def checked(n, adj, rowvals, k, record):
         out = row_search(n, adj, rowvals, k, record)
-        assert (out is None) == _beaten(n, adj, rowvals, k + 1, k + 1), (adj, k)
+        cap = k + 2 if k == n - 2 else k + 1
+        assert (out is None) == _beaten(n, adj, rowvals, k + 1, cap), (adj, k)
         verdicts[out is None] += 1
         return out
 
@@ -296,13 +299,13 @@ def test_row_search_agrees_with_the_search_from_the_root(monkeypatch):
     for n in range(1, 11):
         for d in range(n):
             enumerate_regular(n, d)
-    assert verdicts == {True: 937, False: 2131}  # rejected, accepted
+    assert verdicts == {True: 937, False: 1836}  # rejected, accepted
     verdicts.update({True: 0, False: 0})
     for n in range(1, 8):
         for m in range(n * (n - 1) // 2 + 1):
             enumerate_by_edges(n, m)
     enumerate_by_edges(8, 12)
-    assert verdicts == {True: 5963, False: 12421}
+    assert verdicts == {True: 5963, False: 9840}
 
 
 def test_erdos_gallai_matches_brute_force_graphicality():
@@ -449,11 +452,36 @@ def test_worker_count_does_not_change_results():
     assert [to_graph6(g) for g in enumerate_by_edges(6, 7, workers=3)] == edges_base
     # on classes whose partition really splits the work
     for spec in [GraphClassSpec("edges", 8, m=12), GraphClassSpec("regular", 10, d=4)]:
-        tasks, _ = _class_tasks(spec, Caps())
+        tasks = _class_tasks(spec, Caps())
         assert sum(1 for task in tasks if enumeration._worker(task)) >= 2, spec
         runs = {workers: [to_graph6(g) for g in enumeration._enumerate(spec, None, workers)]
                 for workers in (1, 2, 8)}
         assert runs[1] and runs[2] == runs[1] and runs[8] == runs[1], spec
+
+
+def test_pool_size_is_capped_at_the_task_count(monkeypatch):
+    # a fake pool records its size and maps in-process: no process is started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes, *args):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    tasks = _class_tasks(GraphClassSpec("edges", 8, m=12), Caps())
+    serial = list(enumeration._run_partitioned(tasks, 1))
+    assert sizes == []
+    assert list(enumeration._run_partitioned(tasks, 5000)) == serial
+    assert sizes == [len(tasks)] and len(tasks) < 5000
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,12 @@ from .enumeration import (
     CANONICAL_HARD_CAP,
     Caps,
     GraphClassSpec,
-    IsoClassStream,
     are_isomorphic,
     canonical_form,
     canonical_relabel,
     enumerate_almost_regular,
     enumerate_by_edges,
+    enumerate_class,
     enumerate_regular,
     ladder_level,
     nu_min_set,
@@ -76,7 +76,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     extend_g0,
-    from_edge_text,
     from_graph6,
     girth,
     girth_and_cycles,
@@ -86,7 +85,6 @@ from .graphs import (
     join,
     join_power,
     path_graph,
-    to_edge_text,
     to_graph6,
 )
 from .linalg import (
@@ -103,7 +101,6 @@ from .linalg import (
 from .sequences import (
     ADJACENCY,
     LAPLACIAN,
-    GapSequence,
     LexVerdict,
     TraceSequence,
     adjacency_sequence,
@@ -112,7 +109,6 @@ from .sequences import (
     laplacian_sequence,
     lex_compare,
     mixed_trace_identity_check,
-    nu,
     select_lex_minima,
 )
 

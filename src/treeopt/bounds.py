@@ -14,12 +14,10 @@ from typing import Iterable, Sequence
 
 from .enumeration import canonical_form, canonical_relabel
 from .errors import InternalConsistencyError
-from .graphs import (Graph, complement, degree_info, girth, girth_and_cycles,
-                     is_clique_union, is_connected, to_graph6)
+from .graphs import (Graph, complement, count_induced_p3, extend_g0, girth,
+                     girth_and_cycles, is_clique_union, is_connected, to_graph6)
 from .linalg import char_poly, laplacian, spanning_tree_count
-from .sequences import gap_sequence, nu
-
-REL_TOL = 1e-9  # documented tolerance for float-vs-exact comparisons
+from .sequences import gap_sequence
 
 CERTIFIED_UNIQUE = "CERTIFIED_UNIQUE"
 CERTIFIED_BY_CYCLE_COUNTS = "CERTIFIED_BY_CYCLE_COUNTS"
@@ -80,7 +78,7 @@ def _bound_report(g: Graph, gap_terms: list[float], c_used: int) -> BoundReport:
 def base_bound(g: Graph) -> BoundReport:
     """n^(n-2) * exp(-2 nu / (3 n^3)) * f(d, n); tight exactly on clique unions."""
     n = g.n
-    return _bound_report(g, [2 * nu(g) / (3 * n ** 3)], c_used=3)
+    return _bound_report(g, [2 * count_induced_p3(g) / (3 * n ** 3)], c_used=3)
 
 
 def improved_bound(g: Graph, c: int) -> BoundReport:
@@ -88,7 +86,7 @@ def improved_bound(g: Graph, c: int) -> BoundReport:
     if c < 1:
         raise ValueError("c must be >= 1")
     n = g.n
-    gaps = gap_sequence(g, c).values
+    gaps = gap_sequence(g, c)
     terms = [gaps[k - 1] / (k * n ** k) for k in range(1, c + 1)]
     return _bound_report(g, terms, c_used=c)
 
@@ -114,8 +112,6 @@ class FamilyTreeCount:
 
 def family_tree_count(g0: Graph, d: int, p: int, q: int) -> FamilyTreeCount:
     """t(complement(g0 + p K_{d+1} + q K_d)) along two independent routes."""
-    from .graphs import extend_g0
-
     big = extend_g0(g0, d, p, q)  # validates the degree precondition
     np_ = big.n
     direct = spanning_tree_count(complement(big))

@@ -20,7 +20,6 @@ from .bounds import girth_certificate
 from .enumeration import (
     Caps,
     GraphClassSpec,
-    IsoClassStream,
     canonical_form,
     enumerate_by_edges,
     enumerate_regular,
@@ -90,7 +89,8 @@ class Certificate:
     """Verdict plus the evidence needed to audit it.
 
     winners is nonempty whenever the verdict is decisive, except the
-    vacuous duality case (empty class, class_size 0). Worker count is
+    vacuous duality case (empty class, class_size 0), and a REFUTED one
+    names a witness; construction checks both. Worker count is
     deliberately not a field: payloads must not vary with parallelism.
     """
 
@@ -104,6 +104,12 @@ class Certificate:
     class_size: int
     elapsed_ms: int
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.verdict == REFUTED and not self.witnesses:
+            raise InternalConsistencyError("REFUTED certificate without a witness")
+        if self.verdict != INCONCLUSIVE and self.class_size > 0 and not self.winners:
+            raise InternalConsistencyError("decisive certificate with empty winners")
 
     def to_dict(self) -> dict:
         out = {
@@ -157,14 +163,6 @@ def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _check_invariants(cert: Certificate) -> Certificate:
-    if cert.verdict == REFUTED and not cert.witnesses:
-        raise InternalConsistencyError("REFUTED certificate without a witness")
-    if cert.verdict != INCONCLUSIVE and cert.class_size > 0 and not cert.winners:
-        raise InternalConsistencyError("decisive certificate with empty winners")
-    return cert
-
-
 def _require_regular(candidate: Graph, n: int, d: int) -> None:
     if candidate.n != n:
         raise ValueError(f"candidate has {candidate.n} vertices, class wants {n}")
@@ -180,16 +178,17 @@ def _locate(cand_form: str, forms: list[str]) -> int:
 
 
 def _ranked_by_edges(n: int, m: int, config: RunConfig
-                     ) -> tuple[IsoClassStream, list[tuple[int, str, Graph]], str | None]:
-    """S_{n,m} as (t, canonical graph6, graph) rows, ordered by t descending
-    and then graph6 ascending, plus the H family's form when m = n(n-5)/2."""
-    stream = enumerate_by_edges(n, m, config.caps, config.worker_count)
+                     ) -> tuple[list[tuple[int, str, Graph]], str | None]:
+    """S_{n,m} as (t, canonical graph6, graph) rows, one per member, ordered
+    by t descending and then graph6 ascending, plus the H family's form when
+    m = n(n-5)/2."""
+    members = enumerate_by_edges(n, m, config.caps, config.worker_count)
     h_form = None
     if n >= 5 and m == n * (n - 5) // 2:
         h_form = canonical_form(h_family(n))
-    ranked = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in stream.graphs),
+    ranked = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in members),
                     key=lambda r: (-r[0], r[1]))
-    return stream, ranked, h_form
+    return ranked, h_form
 
 
 def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
@@ -208,29 +207,29 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     command = "verify-trace-min" if kind == ADJACENCY else "verify-ltrace-min"
     spec = GraphClassSpec("regular", n, d=d)
     probe, probe_d = (candidate, d) if kind == ADJACENCY else (complement(candidate), n - 1 - d)
-    probe_stream = enumerate_regular(n, probe_d, config.caps, config.worker_count)
-    status = girth_certificate(probe, probe_stream.graphs)
+    probe_members = enumerate_regular(n, probe_d, config.caps, config.worker_count)
+    status = girth_certificate(probe, probe_members)
     cand_form = canonical_form(candidate)
     if status != _GIRTH_INCONCLUSIVE:
         extra = {"girth_certificate": status}
         if kind == LAPLACIAN:
             extra["certified_via"] = "complement duality"
         # |R_d(n)| equals the complementary class size (complement bijection)
-        return _check_invariants(Certificate(
+        return Certificate(
             command, spec, cand_form, VERIFIED, (cand_form,), (), GIRTH_CERTIFICATE,
-            len(probe_stream), _elapsed_ms(t0), extra=extra))
-    stream = (probe_stream if kind == ADJACENCY
-              else enumerate_regular(n, d, config.caps, config.worker_count))
-    idx = _locate(cand_form, [to_graph6(g) for g in stream.graphs])
-    minima, records = select_lex_minima(stream.graphs, kind)
+            len(probe_members), _elapsed_ms(t0), extra=extra)
+    members = (probe_members if kind == ADJACENCY
+               else enumerate_regular(n, d, config.caps, config.worker_count))
+    idx = _locate(cand_form, [to_graph6(g) for g in members])
+    minima, records = select_lex_minima(members, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
     rec = records[idx]
     witnesses = () if rec["relation"] == EQUAL else tuple(
         Witness(w, rec["divergence_index"], str(rec["minimum_value"]), str(rec["value"]))
         for w in winners)
-    return _check_invariants(Certificate(
+    return Certificate(
         command, spec, cand_form, REFUTED if witnesses else VERIFIED, winners, witnesses,
-        EXHAUSTIVE, len(stream), _elapsed_ms(t0)))
+        EXHAUSTIVE, len(members), _elapsed_ms(t0))
 
 
 def cmd_verify_trace_minimal(candidate: Graph, n: int, d: int,
@@ -254,7 +253,7 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
         raise ValueError(
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
-    stream, ranked, h_form = _ranked_by_edges(n, m, config)
+    ranked, h_form = _ranked_by_edges(n, m, config)
     cand_form = canonical_form(candidate)
     cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][0]
     tmax = ranked[0][0]
@@ -268,9 +267,10 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
         extra["note"] = H_FAMILY_NOTE
     witnesses = () if cand_t == tmax else tuple(
         Witness(w, None, str(tmax), str(cand_t)) for w in winners)
-    return _check_invariants(Certificate(
-        "verify-t-optimal", stream.spec, cand_form, REFUTED if witnesses else VERIFIED,
-        winners, witnesses, EXHAUSTIVE, len(stream), _elapsed_ms(t0), extra=extra))
+    return Certificate(
+        "verify-t-optimal", GraphClassSpec("edges", n, m=m), cand_form,
+        REFUTED if witnesses else VERIFIED, winners, witnesses, EXHAUSTIVE, len(ranked),
+        _elapsed_ms(t0), extra=extra)
 
 
 def cmd_check_duality(n: int, d: int, config: RunConfig | None = None) -> Certificate:
@@ -279,24 +279,24 @@ def cmd_check_duality(n: int, d: int, config: RunConfig | None = None) -> Certif
     canonical-form sets."""
     config = config or RunConfig()
     t0 = time.perf_counter()
-    l_stream = enumerate_regular(n, d, config.caps, config.worker_count)
-    spec = l_stream.spec
-    if not l_stream.graphs:
-        extra = {"warning": l_stream.warning} if l_stream.warning else {}
+    spec = GraphClassSpec("regular", n, d=d)
+    l_members = enumerate_regular(n, d, config.caps, config.worker_count)
+    if not l_members:
+        extra = {"warning": spec.warning} if spec.warning else {}
         return Certificate("duality", spec, None, VERIFIED, (), (), EXHAUSTIVE,
                            0, _elapsed_ms(t0), extra=extra)
-    a_stream = enumerate_regular(n, n - 1 - d, config.caps, config.worker_count)
-    lmin, _ = select_lex_minima(l_stream.graphs, LAPLACIAN)
-    amin, _ = select_lex_minima(a_stream.graphs, ADJACENCY)
+    a_members = enumerate_regular(n, n - 1 - d, config.caps, config.worker_count)
+    lmin, _ = select_lex_minima(l_members, LAPLACIAN)
+    amin, _ = select_lex_minima(a_members, ADJACENCY)
     lset = sorted(to_graph6(g) for g in lmin)
     image = sorted(canonical_form(complement(g)) for g in amin)
     witnesses = tuple(
         Witness(f, None, "1" if f in lset else "0", "1" if f in image else "0")
         for f in sorted(set(lset) ^ set(image)))
-    return _check_invariants(Certificate(
+    return Certificate(
         "duality", spec, None, REFUTED if witnesses else VERIFIED, tuple(lset), witnesses,
-        EXHAUSTIVE, len(l_stream), _elapsed_ms(t0),
-        extra={"complement_image_of_trace_minima": image}))
+        EXHAUSTIVE, len(l_members), _elapsed_ms(t0),
+        extra={"complement_image_of_trace_minima": image})
 
 
 def construct_summary(g: Graph) -> dict:
@@ -322,7 +322,7 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
-    stream, ranked, h_form = _ranked_by_edges(n, m, config)
+    ranked, h_form = _ranked_by_edges(n, m, config)
     rows = []
     h_rank = None
     for rank, (t, form, g) in enumerate(ranked, start=1):
@@ -341,8 +341,8 @@ def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
         })
     report = {
         "command": "report",
-        "class_spec": class_spec_payload(stream.spec),
-        "class_size": str(len(stream)),
+        "class_spec": class_spec_payload(GraphClassSpec("edges", n, m=m)),
+        "class_size": str(len(ranked)),
         "rows": rows,
         "elapsed_ms": str(_elapsed_ms(t0)),
     }

@@ -30,8 +30,7 @@ from .enumeration import (
     CHECKPOINT_SUFFIX,
     Caps,
     GraphClassSpec,
-    enumerate_by_edges,
-    enumerate_regular,
+    enumerate_class,
     spool_class,
 )
 from .errors import CapsExceededError, Graph6Error, InternalConsistencyError
@@ -99,9 +98,9 @@ def _run_gaps(ns, config):
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
     gaps = gap_sequence(g, ns.k)
-    vals = " ".join(str(v) for v in gaps.values)
+    vals = " ".join(str(v) for v in gaps)
     return _plain({"command": "gaps", "graph6": ns.g6, "k": str(ns.k),
-                   "values": [str(v) for v in gaps.values]},
+                   "values": [str(v) for v in gaps]},
                   f"gaps k=1..{ns.k}: {vals}\n")
 
 
@@ -163,11 +162,7 @@ def _run_enumerate(ns, config):
         payload.update(out=ns.out, count=str(count))
         text = f"{count} classes written to {ns.out}\n"
     else:
-        if spec.kind == "regular":
-            stream = enumerate_regular(ns.n, ns.d, config.caps, config.worker_count)
-        else:
-            stream = enumerate_by_edges(ns.n, ns.m, config.caps, config.worker_count)
-        forms = [to_graph6(g) for g in stream.graphs]
+        forms = [to_graph6(g) for g in enumerate_class(spec, config.caps, config.worker_count)]
         payload.update(count=str(len(forms)), graphs=forms)
         text = "".join(f"{f}\n" for f in forms)
     if spec.warning:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapsExceededError, UnsupportedSizeError
-from .graphs import Graph, degree_info, to_graph6
-from .sequences import LAPLACIAN, nu, select_lex_minima
+from .graphs import Graph, count_induced_p3, count_triangles, degree_info, to_graph6
+from .sequences import LAPLACIAN, select_lex_minima
 
 CANONICAL_HARD_CAP = 16
 CHECKPOINT_SUFFIX = ".checkpoint"
@@ -79,24 +79,6 @@ class GraphClassSpec:
         if self.kind == "regular" and self.d is not None and self.n * self.d % 2:
             return "odd degree sum: class is empty"
         return None
-
-
-class IsoClassStream:
-    """Materialized class members, canonical representatives, sorted."""
-
-    def __init__(self, spec: GraphClassSpec, graphs: list[Graph]):
-        self.spec = spec
-        self.graphs = graphs
-
-    @property
-    def warning(self) -> str | None:
-        return self.spec.warning
-
-    def __iter__(self) -> Iterator[Graph]:
-        return iter(self.graphs)
-
-    def __len__(self) -> int:
-        return len(self.graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -523,36 +505,38 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> list:
     return [(n, *state) for state in _states(n, roots, depth)]
 
 
-def _enumerate(spec: GraphClassSpec, caps: Caps | None, workers: int) -> IsoClassStream:
+def enumerate_class(spec: GraphClassSpec, caps: Caps | None = None,
+                    workers: int = 1) -> list[Graph]:
+    """The class's members, canonical representatives in ascending graph6 order."""
     tasks = _class_tasks(spec, caps or Caps())
     # generator output is canonical already
     graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, workers)
               for adj in labeled]
     graphs.sort(key=to_graph6)
-    return IsoClassStream(spec, graphs)
+    return graphs
 
 
 def enumerate_regular(n: int, d: int, caps: Caps | None = None,
-                      workers: int = 1) -> IsoClassStream:
+                      workers: int = 1) -> list[Graph]:
     """All d-regular graphs on n vertices up to isomorphism.
 
-    Odd n*d is not an error: the stream is empty and carries a parity
-    warning flag.
+    Odd n*d is not an error: the class is empty, and its spec's `warning`
+    says why.
     """
-    return _enumerate(GraphClassSpec("regular", n, d=d), caps, workers)
+    return enumerate_class(GraphClassSpec("regular", n, d=d), caps, workers)
 
 
 def enumerate_by_edges(n: int, m: int, caps: Caps | None = None,
-                       workers: int = 1) -> IsoClassStream:
+                       workers: int = 1) -> list[Graph]:
     """All graphs on n vertices with exactly m edges, up to isomorphism."""
-    return _enumerate(GraphClassSpec("edges", n, m=m), caps, workers)
+    return enumerate_class(GraphClassSpec("edges", n, m=m), caps, workers)
 
 
 def enumerate_almost_regular(n: int, m: int, caps: Caps | None = None,
                              workers: int = 1) -> list[Graph]:
     """Members of the edge-count class whose degrees span at most two adjacent values."""
-    stream = enumerate_by_edges(n, m, caps, workers)
-    return [g for g in stream if degree_info(g).is_almost_regular]
+    return [g for g in enumerate_by_edges(n, m, caps, workers)
+            if degree_info(g).is_almost_regular]
 
 
 def ladder_level(n: int, m: int, k: int, caps: Caps | None = None,
@@ -569,7 +553,7 @@ def nu_min_set(n: int, m: int, caps: Caps | None = None,
     pool = enumerate_almost_regular(n, m, caps, workers)
     if not pool:
         return []
-    vals = [nu(g) for g in pool]
+    vals = [count_induced_p3(g) for g in pool]
     lo = min(vals)
     return [g for g, v in zip(pool, vals) if v == lo]
 
@@ -579,14 +563,12 @@ def tau_min(n: int, d: int, caps: Caps | None = None,
     """Least triangle count over the regular class, with all witnesses.
 
     Empty class (odd parity) gives (None, [])."""
-    from .graphs import count_triangles
-
-    stream = enumerate_regular(n, d, caps, workers)
-    if not stream.graphs:
+    members = enumerate_regular(n, d, caps, workers)
+    if not members:
         return None, []
-    vals = [count_triangles(g) for g in stream]
+    vals = [count_triangles(g) for g in members]
     lo = min(vals)
-    return lo, [g for g, v in zip(stream.graphs, vals) if v == lo]
+    return lo, [g for g, v in zip(members, vals) if v == lo]
 
 
 # ---------------------------------------------------------------------------

@@ -184,37 +184,6 @@ def _pair_from_colmajor(bit: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# plain edge-list text: "n m" header then one "u v" line per edge
-
-def from_edge_text(text: str) -> Graph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header claims {m} edges, found {len(lines) - 1} lines")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    g = Graph.from_edges(n, edges)
-    if g.m != m:
-        raise ValueError("duplicate edges in edge-list text")
-    return g
-
-
-def to_edge_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # constructions
 
 def empty_graph(n: int) -> Graph:
@@ -353,7 +322,8 @@ def count_triangles(g: Graph) -> int:
 
 
 def count_induced_p3(g: Graph) -> int:
-    """Induced 2-edge paths: sum C(d_i, 2) minus 3 * triangle count."""
+    """Induced 2-edge paths (nu): sum C(d_i, 2) minus 3 * triangle count.
+    The third gap equals twice this."""
     s = sum(d * (d - 1) // 2 for d in g.degrees())
     return s - 3 * count_triangles(g)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalConsistencyError
-from .graphs import Graph, count_induced_p3
+from .graphs import Graph
 from .linalg import IntMatrix, adjacency_matrix, laplacian, trace_powers
 
 ADJACENCY = "adjacency"
@@ -30,11 +30,6 @@ class TraceSequence:
     @property
     def cutoff(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class GapSequence:
-    values: tuple[int, ...]  # values[i] = gap at index i+1
 
 
 @dataclass(frozen=True)
@@ -64,8 +59,9 @@ def degree_power_floor(g: Graph, k: int) -> int:
     return sum(d * (d + 1) ** (k - 1) for d in g.degrees())
 
 
-def gap_sequence(g: Graph, cutoff: int) -> GapSequence:
-    """Laplacian trace minus its degree floor, per index 1..cutoff.
+def gap_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
+    """Laplacian trace minus its degree floor, per index 1..cutoff: entry
+    k-1 is the gap at index k.
 
     The first two gaps vanish identically; that is asserted here because a
     violation would mean the trace computation itself broke.
@@ -75,7 +71,7 @@ def gap_sequence(g: Graph, cutoff: int) -> GapSequence:
     for k in (1, 2):
         if k <= cutoff and gaps[k - 1] != 0:
             raise InternalConsistencyError(f"gap at index {k} is {gaps[k - 1]}, expected 0")
-    return GapSequence(gaps)
+    return gaps
 
 
 def lex_compare(s: TraceSequence, t: TraceSequence) -> LexVerdict:
@@ -153,8 +149,3 @@ def mixed_trace_identity_check(g: Graph, i: int, j: int) -> tuple[int, int, bool
     lhs = lhs_mat.trace()
     rhs = (d + 1) ** j * trace_powers(laplacian(g), i)[-1]
     return lhs, rhs, lhs == rhs
-
-
-def nu(g: Graph) -> int:
-    """Induced 2-edge path count; the third gap equals twice this."""
-    return count_induced_p3(g)

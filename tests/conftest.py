@@ -136,7 +136,7 @@ def classes_by_n():
     for n in range(1, 8):
         pool = []
         for m in range(n * (n - 1) // 2 + 1):
-            pool.extend(enumerate_by_edges(n, m).graphs)
+            pool.extend(enumerate_by_edges(n, m))
         out[n] = pool
     return out
 

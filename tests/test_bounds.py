@@ -229,7 +229,7 @@ def test_girth_shortcuts_agree_with_exhaustive_minima():
     # the unique Laplacian lex minimum of R_d(n)
     certified = {"adjacency": 0, "laplacian": 0}
     for n in range(1, 11):
-        classes = [enumerate_regular(n, d).graphs for d in range(n)]
+        classes = [enumerate_regular(n, d) for d in range(n)]
         for d, members in enumerate(classes):
             if not members:
                 continue

@@ -10,7 +10,6 @@ from treeopt.certify import (
     Certificate,
     RunConfig,
     Witness,
-    _check_invariants,
     cmd_check_duality,
     cmd_report_class,
     cmd_verify_l_trace_minimal,
@@ -171,14 +170,10 @@ def test_render_text_contents():
 
 def test_invariant_checks_reject_bad_certificates():
     spec = GraphClassSpec("regular", 6, d=2)
-    bad = Certificate("verify-trace-min", spec, "x", REFUTED, ("y",), (),
-                      EXHAUSTIVE, 2, 0)
-    with pytest.raises(InternalConsistencyError):
-        _check_invariants(bad)
-    no_winners = Certificate("verify-trace-min", spec, "x", VERIFIED, (),
-                             (), EXHAUSTIVE, 2, 0)
-    with pytest.raises(InternalConsistencyError):
-        _check_invariants(no_winners)
+    with pytest.raises(InternalConsistencyError):  # refuted without a witness
+        Certificate("verify-trace-min", spec, "x", REFUTED, ("y",), (), EXHAUSTIVE, 2, 0)
+    with pytest.raises(InternalConsistencyError):  # decisive without winners
+        Certificate("verify-trace-min", spec, "x", VERIFIED, (), (), EXHAUSTIVE, 2, 0)
 
 
 def test_witness_serialization():

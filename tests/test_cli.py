@@ -114,11 +114,20 @@ def test_enumerate_parity_warning(tmp_path, capsys):
     assert payload["count"] == "0" and "warning" in payload and captured.err == ""
 
 
-def test_enumerate_stream(capsys):
-    assert main(["enumerate", "--class", "r", "--n", "8", "--d", "3"]) == 0
+@pytest.mark.parametrize("args, size, member", [
+    (["--class", "r", "--n", "8", "--d", "3"], 6, h_family(8)),
+    (["--class", "s", "--n", "6", "--m", "7"], 24,
+     disjoint_union(complete_graph(4), complete_graph(2))),
+], ids=["regular", "edges"])
+def test_enumerate_stream(tmp_path, capsys, args, size, member):
+    assert main(["enumerate", *args]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6 and lines == sorted(lines)
-    assert canonical_form(h_family(8)) in lines
+    assert len(lines) == size and lines == sorted(lines)
+    assert canonical_form(member) in lines
+    # stdout and the spool list the same class
+    out = tmp_path / "class.g6"
+    assert main(["enumerate", *args, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == lines
 
 
 def test_enumerate_spool(tmp_path, capsys):

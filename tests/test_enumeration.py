@@ -35,6 +35,7 @@ from treeopt.enumeration import (
     canonical_relabel,
     enumerate_almost_regular,
     enumerate_by_edges,
+    enumerate_class,
     enumerate_regular,
     ladder_level,
     nu_min_set,
@@ -78,7 +79,7 @@ def test_canonical_form_separates_all_five_vertex_classes():
     # pairwise distinct forms, cross-checked by exhaustive permutation search
     classes = []
     for m in range(11):
-        classes.extend(enumerate_by_edges(5, m).graphs)
+        classes.extend(enumerate_by_edges(5, m))
     forms = [to_graph6(g) for g in classes]
     assert len(set(forms)) == len(forms)
     for i in range(0, len(classes), 5):
@@ -325,7 +326,7 @@ def test_erdos_gallai_matches_brute_force_graphicality():
 def test_enumerator_members_are_fixed_points():
     members = [g for n in range(1, 7) for m in range(n * (n - 1) // 2 + 1)
                for g in enumerate_by_edges(n, m)]
-    members += enumerate_regular(8, 3).graphs + enumerate_regular(10, 3).graphs
+    members += enumerate_regular(8, 3) + enumerate_regular(10, 3)
     assert len(members) == sum(sum(burnside_counts(n)) for n in range(1, 7)) + 6 + 21
     for g in members:
         assert canonical_relabel(g) == g, to_graph6(g)
@@ -381,7 +382,7 @@ def test_regular_counts_match_labeled_mask_scan():
     # sum of n!/|Aut| over classes must equal the brute labeled count
     for n in range(2, 7):
         for d in range(n):
-            classes = enumerate_regular(n, d).graphs
+            classes = enumerate_regular(n, d)
             orbit_total = sum(math.factorial(n) // aut_size(g) for g in classes)
             assert orbit_total == labeled_regular_count(n, d), (n, d)
 
@@ -399,14 +400,14 @@ def test_regular_equals_filtered_edge_enumeration():
 def test_regular_complement_bijection():
     for n in range(2, 10):
         for d in range(n):
-            a = enumerate_regular(n, d).graphs
-            b = enumerate_regular(n, n - 1 - d).graphs
+            a = enumerate_regular(n, d)
+            b = enumerate_regular(n, n - 1 - d)
             image = sorted(canonical_form(complement(g)) for g in a)
             assert image == [to_graph6(g) for g in b], (n, d)
 
 
 def test_regular_census_at_ten_vertices():
-    classes = [enumerate_regular(10, d).graphs for d in range(10)]
+    classes = [enumerate_regular(10, d) for d in range(10)]
     assert [len(members) for members in classes] == [1, 1, 5, 21, 60, 60, 21, 5, 1, 1]
     for d, members in enumerate(classes):
         image = sorted(canonical_form(complement(g)) for g in members)
@@ -424,11 +425,12 @@ def test_known_class_sizes():
 
 
 def test_stream_metadata():
-    stream = enumerate_regular(5, 1)
-    assert len(stream) == 0 and stream.warning == "odd degree sum: class is empty"
-    assert list(stream) == []
-    stream = enumerate_regular(1, 0)
-    assert len(stream) == 1 and stream.graphs[0].n == 1
+    assert enumerate_regular(5, 1) == []
+    assert GraphClassSpec("regular", 5, d=1).warning == "odd degree sum: class is empty"
+    assert GraphClassSpec("regular", 6, d=1).warning is None
+    assert GraphClassSpec("edges", 5, m=3).warning is None
+    members = enumerate_regular(1, 0)
+    assert len(members) == 1 and members[0].n == 1
     assert GraphClassSpec("regular", 6, d=2).to_dict() == {"kind": "regular", "n": 6, "d": 2}
 
 
@@ -454,7 +456,7 @@ def test_worker_count_does_not_change_results():
     for spec in [GraphClassSpec("edges", 8, m=12), GraphClassSpec("regular", 10, d=4)]:
         tasks = _class_tasks(spec, Caps())
         assert sum(1 for task in tasks if enumeration._worker(task)) >= 2, spec
-        runs = {workers: [to_graph6(g) for g in enumeration._enumerate(spec, None, workers)]
+        runs = {workers: [to_graph6(g) for g in enumerate_class(spec, None, workers)]
                 for workers in (1, 2, 8)}
         assert runs[1] and runs[2] == runs[1] and runs[8] == runs[1], spec
 
@@ -490,7 +492,7 @@ def test_pool_size_is_capped_at_the_task_count(monkeypatch):
 def test_almost_regular_filter():
     members = enumerate_almost_regular(5, 4)
     assert all(degree_info(g).is_almost_regular for g in members)
-    whole = enumerate_by_edges(5, 4).graphs
+    whole = enumerate_by_edges(5, 4)
     rest = [g for g in whole if not degree_info(g).is_almost_regular]
     assert len(members) + len(rest) == len(whole) and rest
 
@@ -676,3 +678,5 @@ def test_spool_discards_mismatched_checkpoint(tmp_path):
 def test_spool_rejects_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         spool_class(GraphClassSpec("weird", 4), str(tmp_path / "x"))
+    with pytest.raises(ValueError):
+        enumerate_class(GraphClassSpec("weird", 4))

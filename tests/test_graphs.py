@@ -19,7 +19,6 @@ from treeopt.graphs import (
     disjoint_union,
     empty_graph,
     extend_g0,
-    from_edge_text,
     from_graph6,
     girth,
     girth_and_cycles,
@@ -29,7 +28,6 @@ from treeopt.graphs import (
     join,
     join_power,
     path_graph,
-    to_edge_text,
     to_graph6,
 )
 
@@ -127,15 +125,6 @@ def test_graph6_rejects_nonzero_padding():
 @given(small_graphs(max_n=12))
 def test_graph6_round_trip(g):
     assert from_graph6(to_graph6(g)) == g
-
-
-def test_edge_text_round_trip():
-    g = cycle_graph(5)
-    assert from_edge_text(to_edge_text(g)) == g
-    with pytest.raises(ValueError):
-        from_edge_text("3 1\n0 1\n0 2")  # edge count mismatch
-    with pytest.raises(ValueError):
-        from_edge_text("oops")
 
 
 # ---------------------------------------------------------------------------

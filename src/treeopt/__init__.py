@@ -10,13 +10,11 @@ in the diagnostic upper bounds.
 from .certify import (
     EXHAUSTIVE,
     GIRTH_CERTIFICATE,
-    INCONCLUSIVE,
     REFUTED,
     SCHEMA_VERSION,
     TOOL_VERSION,
     VERIFIED,
     Certificate,
-    RunConfig,
     Witness,
     cmd_check_duality,
     cmd_report_class,
@@ -28,6 +26,7 @@ from .certify import (
 from .bounds import (
     CERTIFIED_BY_CYCLE_COUNTS,
     CERTIFIED_UNIQUE,
+    INCONCLUSIVE,
     BoundReport,
     FamilyTreeCount,
     abrego_feasibility,
@@ -40,7 +39,6 @@ from .bounds import (
 )
 from .enumeration import (
     CANONICAL_HARD_CAP,
-    Caps,
     GraphClassSpec,
     are_isomorphic,
     canonical_form,

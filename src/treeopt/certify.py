@@ -15,10 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import INCONCLUSIVE as _GIRTH_INCONCLUSIVE
-from .bounds import girth_certificate
+from .bounds import INCONCLUSIVE, girth_certificate
 from .enumeration import (
-    Caps,
     GraphClassSpec,
     canonical_form,
     enumerate_by_edges,
@@ -43,7 +41,6 @@ SCHEMA_VERSION = "2"
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 EXHAUSTIVE = "EXHAUSTIVE"
 GIRTH_CERTIFICATE = "GIRTH_CERTIFICATE"
@@ -88,9 +85,9 @@ class Witness:
 class Certificate:
     """Verdict plus the evidence needed to audit it.
 
-    winners is nonempty whenever the verdict is decisive, except the
-    vacuous duality case (empty class, class_size 0), and a REFUTED one
-    names a witness; construction checks both. Worker count is
+    Every verdict is decisive: winners is nonempty except in the vacuous
+    duality case (empty class, class_size 0), and a REFUTED one names a
+    witness; construction checks both. Worker count is
     deliberately not a field: payloads must not vary with parallelism.
     """
 
@@ -108,7 +105,7 @@ class Certificate:
     def __post_init__(self):
         if self.verdict == REFUTED and not self.witnesses:
             raise InternalConsistencyError("REFUTED certificate without a witness")
-        if self.verdict != INCONCLUSIVE and self.class_size > 0 and not self.winners:
+        if self.class_size > 0 and not self.winners:
             raise InternalConsistencyError("decisive certificate with empty winners")
 
     def to_dict(self) -> dict:
@@ -153,12 +150,6 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    worker_count: int = 1
-    caps: Caps = field(default_factory=Caps)
-
-
 def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
@@ -177,12 +168,12 @@ def _locate(cand_form: str, forms: list[str]) -> int:
     return forms.index(cand_form)
 
 
-def _ranked_by_edges(n: int, m: int, config: RunConfig
+def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int
                      ) -> tuple[list[tuple[int, str, Graph]], str | None]:
     """S_{n,m} as (t, canonical graph6, graph) rows, one per member, ordered
     by t descending and then graph6 ascending, plus the H family's form when
     m = n(n-5)/2."""
-    members = enumerate_by_edges(n, m, config.caps, config.worker_count)
+    members = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
     h_form = None
     if n >= 5 and m == n * (n - 5) // 2:
         h_form = canonical_form(h_family(n))
@@ -192,7 +183,7 @@ def _ranked_by_edges(n: int, m: int, config: RunConfig
 
 
 def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
-                        config: RunConfig | None) -> Certificate:
+                        caps_override: bool, workers: int) -> Certificate:
     """Is the candidate's `kind` trace sequence lex-minimal in R_d(n)?
 
     Cheap path first: a girth certificate for the candidate in R_d(n), or,
@@ -201,16 +192,16 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     Either settles the verdict without any trace computation. Fallback is
     the exhaustive sweep over R_d(n).
     """
-    config = config or RunConfig()
     t0 = time.perf_counter()
     _require_regular(candidate, n, d)
     command = "verify-trace-min" if kind == ADJACENCY else "verify-ltrace-min"
     spec = GraphClassSpec("regular", n, d=d)
     probe, probe_d = (candidate, d) if kind == ADJACENCY else (complement(candidate), n - 1 - d)
-    probe_members = enumerate_regular(n, probe_d, config.caps, config.worker_count)
+    probe_members = enumerate_regular(n, probe_d, caps_override=caps_override,
+                                      workers=workers)
     status = girth_certificate(probe, probe_members)
     cand_form = canonical_form(candidate)
-    if status != _GIRTH_INCONCLUSIVE:
+    if status != INCONCLUSIVE:
         extra = {"girth_certificate": status}
         if kind == LAPLACIAN:
             extra["certified_via"] = "complement duality"
@@ -219,7 +210,7 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
             command, spec, cand_form, VERIFIED, (cand_form,), (), GIRTH_CERTIFICATE,
             len(probe_members), _elapsed_ms(t0), extra=extra)
     members = (probe_members if kind == ADJACENCY
-               else enumerate_regular(n, d, config.caps, config.worker_count))
+               else enumerate_regular(n, d, caps_override=caps_override, workers=workers))
     idx = _locate(cand_form, [to_graph6(g) for g in members])
     minima, records = select_lex_minima(members, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
@@ -232,28 +223,27 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
         EXHAUSTIVE, len(members), _elapsed_ms(t0))
 
 
-def cmd_verify_trace_minimal(candidate: Graph, n: int, d: int,
-                             config: RunConfig | None = None) -> Certificate:
+def cmd_verify_trace_minimal(candidate: Graph, n: int, d: int, *,
+                             caps_override: bool = False, workers: int = 1) -> Certificate:
     """Is the candidate's adjacency trace sequence lex-minimal in R_d(n)?"""
-    return _verify_lex_minimal(ADJACENCY, candidate, n, d, config)
+    return _verify_lex_minimal(ADJACENCY, candidate, n, d, caps_override, workers)
 
 
-def cmd_verify_l_trace_minimal(candidate: Graph, n: int, d: int,
-                               config: RunConfig | None = None) -> Certificate:
+def cmd_verify_l_trace_minimal(candidate: Graph, n: int, d: int, *,
+                               caps_override: bool = False, workers: int = 1) -> Certificate:
     """Is the candidate's Laplacian trace sequence lex-minimal in R_d(n)?"""
-    return _verify_lex_minimal(LAPLACIAN, candidate, n, d, config)
+    return _verify_lex_minimal(LAPLACIAN, candidate, n, d, caps_override, workers)
 
 
-def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
-                         config: RunConfig | None = None) -> Certificate:
+def cmd_verify_t_optimal(candidate: Graph, n: int, m: int, *,
+                         caps_override: bool = False, workers: int = 1) -> Certificate:
     """Does the candidate maximize the spanning-tree count over S_{n,m}?"""
-    config = config or RunConfig()
     t0 = time.perf_counter()
     if candidate.n != n or candidate.m != m:
         raise ValueError(
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
-    ranked, h_form = _ranked_by_edges(n, m, config)
+    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers)
     cand_form = canonical_form(candidate)
     cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][0]
     tmax = ranked[0][0]
@@ -273,19 +263,20 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int,
         _elapsed_ms(t0), extra=extra)
 
 
-def cmd_check_duality(n: int, d: int, config: RunConfig | None = None) -> Certificate:
+def cmd_check_duality(n: int, d: int, *, caps_override: bool = False,
+                      workers: int = 1) -> Certificate:
     """L-trace minima of R_d(n) must be the complements of the trace minima
     of R_{n-1-d}(n); both sides are computed exhaustively and compared as
     canonical-form sets."""
-    config = config or RunConfig()
     t0 = time.perf_counter()
     spec = GraphClassSpec("regular", n, d=d)
-    l_members = enumerate_regular(n, d, config.caps, config.worker_count)
+    l_members = enumerate_regular(n, d, caps_override=caps_override, workers=workers)
     if not l_members:
         extra = {"warning": spec.warning} if spec.warning else {}
         return Certificate("duality", spec, None, VERIFIED, (), (), EXHAUSTIVE,
                            0, _elapsed_ms(t0), extra=extra)
-    a_members = enumerate_regular(n, n - 1 - d, config.caps, config.worker_count)
+    a_members = enumerate_regular(n, n - 1 - d, caps_override=caps_override,
+                                  workers=workers)
     lmin, _ = select_lex_minima(l_members, LAPLACIAN)
     amin, _ = select_lex_minima(a_members, ADJACENCY)
     lset = sorted(to_graph6(g) for g in lmin)
@@ -313,16 +304,16 @@ def construct_summary(g: Graph) -> dict:
     }
 
 
-def cmd_report_class(n: int, m: int, config: RunConfig | None = None) -> dict:
+def cmd_report_class(n: int, m: int, *, caps_override: bool = False,
+                     workers: int = 1) -> dict:
     """Every iso class of S_{n,m} ranked by exact spanning-tree count.
 
     Ties share a t value but not a rank; rows are ordered by (t descending,
     canonical graph6 ascending) so the table is deterministic. No winner is
     asserted: the table reports, tests elsewhere decide.
     """
-    config = config or RunConfig()
     t0 = time.perf_counter()
-    ranked, h_form = _ranked_by_edges(n, m, config)
+    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers)
     rows = []
     h_rank = None
     for rank, (t, form, g) in enumerate(ranked, start=1):

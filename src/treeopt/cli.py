@@ -14,7 +14,6 @@ import traceback
 from .bounds import improved_bound, n0_threshold
 from .certify import (
     VERIFIED,
-    RunConfig,
     class_spec_payload,
     cmd_check_duality,
     cmd_report_class,
@@ -28,7 +27,6 @@ from .certify import (
 )
 from .enumeration import (
     CHECKPOINT_SUFFIX,
-    Caps,
     GraphClassSpec,
     enumerate_class,
     spool_class,
@@ -46,25 +44,24 @@ EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130
 
 
-def _default_workers() -> int:
+def _workers(ns) -> int:
+    """--workers, else TREEOPT_WORKERS, else every core."""
+    if ns.workers is not None:
+        if ns.workers < 1:
+            raise ValueError("--workers must be positive")
+        return ns.workers
     env = os.environ.get("TREEOPT_WORKERS")
-    if env is not None:
-        value = int(env)  # bad values surface as a usage error
-        if value < 1:
-            raise ValueError(f"TREEOPT_WORKERS must be positive, got {env!r}")
-        return value
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    value = int(env)  # bad values surface as a usage error
+    if value < 1:
+        raise ValueError(f"TREEOPT_WORKERS must be positive, got {env!r}")
+    return value
 
 
-def _config(ns) -> RunConfig:
-    workers = ns.workers if ns.workers is not None else _default_workers()
-    if workers < 1:
-        raise ValueError("--workers must be positive")
-    return RunConfig(worker_count=workers, caps=Caps(override=ns.caps_override))
-
-
-# Each `_run_*` returns (exit code, structured output, text output), the two
-# outputs as thunks: `main` renders only the one --format asks for.
+# Each `_run_*` takes the parsed arguments and the worker count and returns
+# (exit code, structured output, text output), the two outputs as thunks:
+# `main` renders only the one --format asks for.
 def _plain(payload: dict, text: str):
     return EXIT_OK, lambda: payload_json(payload), lambda: text
 
@@ -74,7 +71,7 @@ def _certificate(cert):
             cert.to_json, cert.render_text)
 
 
-def _run_count(ns, config):
+def _run_count(ns, workers):
     g = from_graph6(ns.g6)
     t = spanning_tree_count(g)
     return _plain({"command": "count", "graph6": ns.g6, "n": str(g.n),
@@ -82,7 +79,7 @@ def _run_count(ns, config):
                   f"t = {t}\n")
 
 
-def _run_seq(ns, config):
+def _run_seq(ns, workers):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
@@ -93,7 +90,7 @@ def _run_seq(ns, config):
                   f"{ns.kind} traces k=1..{ns.k}: {vals}\n")
 
 
-def _run_gaps(ns, config):
+def _run_gaps(ns, workers):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
@@ -104,26 +101,28 @@ def _run_gaps(ns, config):
                   f"gaps k=1..{ns.k}: {vals}\n")
 
 
-def _run_verify(ns, config):
+def _run_verify(ns, workers):
     g = from_graph6(ns.g6)
     if ns.mode == "t-optimal":
         if ns.m is None:
             raise ValueError("verify t-optimal needs --m")
-        cert = cmd_verify_t_optimal(g, ns.n, ns.m, config)
+        cert = cmd_verify_t_optimal(g, ns.n, ns.m, caps_override=ns.caps_override,
+                                    workers=workers)
     else:
         if ns.d is None:
             raise ValueError(f"verify {ns.mode} needs --d")
         cmd = (cmd_verify_trace_minimal if ns.mode == "trace-min"
                else cmd_verify_l_trace_minimal)
-        cert = cmd(g, ns.n, ns.d, config)
+        cert = cmd(g, ns.n, ns.d, caps_override=ns.caps_override, workers=workers)
     return _certificate(cert)
 
 
-def _run_duality(ns, config):
-    return _certificate(cmd_check_duality(ns.n, ns.d, config))
+def _run_duality(ns, workers):
+    return _certificate(cmd_check_duality(ns.n, ns.d, caps_override=ns.caps_override,
+                                         workers=workers))
 
 
-def _run_construct(ns, config):
+def _run_construct(ns, workers):
     if ns.family == "h":
         if ns.n is None:
             raise ValueError("construct h needs --n")
@@ -147,7 +146,7 @@ def _run_construct(ns, config):
     return _plain({"command": "construct", "family": ns.family, **s}, text)
 
 
-def _run_enumerate(ns, config):
+def _run_enumerate(ns, workers):
     if ns.klass == "r":
         if ns.d is None:
             raise ValueError("--class r needs --d")
@@ -158,11 +157,12 @@ def _run_enumerate(ns, config):
         spec = GraphClassSpec("edges", ns.n, m=ns.m)
     payload = {"command": "enumerate", "class_spec": class_spec_payload(spec)}
     if ns.out:
-        count = spool_class(spec, ns.out, config.caps, config.worker_count)
+        count = spool_class(spec, ns.out, caps_override=ns.caps_override, workers=workers)
         payload.update(out=ns.out, count=str(count))
         text = f"{count} classes written to {ns.out}\n"
     else:
-        forms = [to_graph6(g) for g in enumerate_class(spec, config.caps, config.worker_count)]
+        members = enumerate_class(spec, caps_override=ns.caps_override, workers=workers)
+        forms = [to_graph6(g) for g in members]
         payload.update(count=str(len(forms)), graphs=forms)
         text = "".join(f"{f}\n" for f in forms)
     if spec.warning:
@@ -172,7 +172,7 @@ def _run_enumerate(ns, config):
     return _plain(payload, text)
 
 
-def _run_bound(ns, config):
+def _run_bound(ns, workers):
     g = from_graph6(ns.g6)
     report = improved_bound(g, ns.c)
     payload = {
@@ -193,12 +193,12 @@ def _run_bound(ns, config):
     return _plain(payload, text)
 
 
-def _run_report(ns, config):
-    report = cmd_report_class(ns.n, ns.m, config)
+def _run_report(ns, workers):
+    report = cmd_report_class(ns.n, ns.m, caps_override=ns.caps_override, workers=workers)
     return EXIT_OK, lambda: report_to_json(report), lambda: report_render_text(report)
 
 
-def _run_threshold(ns, config):
+def _run_threshold(ns, workers):
     value = n0_threshold(ns.g0_order, ns.d, ns.c)
     return _plain({"command": "threshold", "g0_order": str(ns.g0_order),
                    "d": str(ns.d), "c": str(ns.c), "n0": str(value)},
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        code, structured, text = ns.func(ns, _config(ns))
+        code, structured, text = ns.func(ns, _workers(ns))
         sys.stdout.write(structured() if ns.format == "structured" else text())
         return code
     except (Graph6Error, ValueError) as e:

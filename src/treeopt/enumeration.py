@@ -19,7 +19,7 @@ neighbours in a cell with `int.bit_count`, and try twins of either kind
 generator carries each child's search on from its parent's instead of
 starting it again.
 
-Caps keep runs at desk scale: regular classes to n = 10 (12 with override),
+Size caps keep runs at desk scale: regular classes to n = 10 (12 with override),
 edge-count sweeps to n = 8 (9 with override). The canonical form itself is
 hard-capped at n = 16.
 """
@@ -43,19 +43,6 @@ _REGULAR_DEFAULT_N = 10
 _REGULAR_OVERRIDE_N = 12
 _EDGES_DEFAULT_N = 8
 _EDGES_OVERRIDE_N = 9
-
-
-@dataclass(frozen=True)
-class Caps:
-    override: bool = False
-
-    @property
-    def regular_limit(self) -> int:
-        return _REGULAR_OVERRIDE_N if self.override else _REGULAR_DEFAULT_N
-
-    @property
-    def edges_limit(self) -> int:
-        return _EDGES_OVERRIDE_N if self.override else _EDGES_DEFAULT_N
 
 
 @dataclass(frozen=True)
@@ -249,29 +236,28 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
                 return discrete(level, cells)
             target = rowvals[level]
             width = n - 1 - level
-            # per cell: (cell, neighbors a tie needs, the target segment is 1..10..0)
+            # per cell: (cell, neighbours a tie needs). `_children` packs each
+            # row into the first vertices of each of its cells, and on a tied
+            # path the search's cells have those cells' sizes, so every target
+            # segment is 1..10..0: its popcount is all a tie must match
             needs = []
             first = True
             for cell in cells:
                 size = cell.bit_count() - first
                 first = False
                 width -= size
-                holes = (target >> width & ((1 << size) - 1)) ^ ((1 << size) - 1)
-                exact = holes & (holes + 1) == 0
-                needs.append((cell, size - holes.bit_length(), exact))
-                if not exact:
-                    break
+                needs.append((cell, (target >> width & ((1 << size) - 1)).bit_count()))
             seen = set()
             pool = cells[0] & cap
         while pool:
             bit = pool & -pool
             pool ^= bit
             row = adj[bit.bit_length() - 1]
-            for cell, need, exact in needs:
+            for cell, need in needs:
                 has = (cell & row).bit_count()
                 if has > need:
                     return True
-                if has < need or not exact:
+                if has < need:
                     break
             else:
                 # a twin compares the same, so the check waits for a tie
@@ -470,19 +456,20 @@ def _run_partitioned(tasks: list, workers: int) -> Iterator[list]:
             yield from pool.imap(_worker, tasks, chunksize=chunk)
 
 
-def _class_tasks(spec: GraphClassSpec, caps: Caps) -> list:
+def _class_tasks(spec: GraphClassSpec, *, caps_override: bool = False) -> list:
     """Check a class spec against its ranges and caps, then split its search
     into subtree tasks for `_worker`, in an order that never depends on the
     worker count."""
     n, d, m = spec.n, spec.d, spec.m
-    override = " (override active)" if caps.override else ""
+    override = " (override active)" if caps_override else ""
     # the canonicity search before row 0: its root, stopped at level 0
     root = [(0, [(1 << n) - 1], None, None)]
     if spec.kind == "regular":
         if n < 1 or d is None or not 0 <= d <= n - 1:
             raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n} d={d}")
-        if n > caps.regular_limit:
-            raise CapsExceededError(f"regular enumeration capped at n = {caps.regular_limit}"
+        limit = _REGULAR_OVERRIDE_N if caps_override else _REGULAR_DEFAULT_N
+        if n > limit:
+            raise CapsExceededError(f"regular enumeration capped at n = {limit}"
                                     f"{override}, requested n = {n}")
         if spec.warning:
             return []
@@ -491,8 +478,9 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> list:
         maxm = n * (n - 1) // 2
         if n < 1 or m is None or not 0 <= m <= maxm:
             raise ValueError(f"need n >= 1 and 0 <= m <= {maxm}, got n={n} m={m}")
-        if n > caps.edges_limit:
-            raise CapsExceededError(f"edge-count enumeration capped at n = {caps.edges_limit}"
+        limit = _EDGES_OVERRIDE_N if caps_override else _EDGES_DEFAULT_N
+        if n > limit:
+            raise CapsExceededError(f"edge-count enumeration capped at n = {limit}"
                                     f"{override}, requested n = {n}")
         # one root per degree of vertex 0, the top one: at least the mean 2m/n
         roots = [(0, (0,) * n, (), ((0, n - 1, top),), m, root)
@@ -505,10 +493,10 @@ def _class_tasks(spec: GraphClassSpec, caps: Caps) -> list:
     return [(n, *state) for state in _states(n, roots, depth)]
 
 
-def enumerate_class(spec: GraphClassSpec, caps: Caps | None = None,
+def enumerate_class(spec: GraphClassSpec, *, caps_override: bool = False,
                     workers: int = 1) -> list[Graph]:
     """The class's members, canonical representatives in ascending graph6 order."""
-    tasks = _class_tasks(spec, caps or Caps())
+    tasks = _class_tasks(spec, caps_override=caps_override)
     # generator output is canonical already
     graphs = [Graph(spec.n, adj) for labeled in _run_partitioned(tasks, workers)
               for adj in labeled]
@@ -516,41 +504,44 @@ def enumerate_class(spec: GraphClassSpec, caps: Caps | None = None,
     return graphs
 
 
-def enumerate_regular(n: int, d: int, caps: Caps | None = None,
+def enumerate_regular(n: int, d: int, *, caps_override: bool = False,
                       workers: int = 1) -> list[Graph]:
     """All d-regular graphs on n vertices up to isomorphism.
 
     Odd n*d is not an error: the class is empty, and its spec's `warning`
     says why.
     """
-    return enumerate_class(GraphClassSpec("regular", n, d=d), caps, workers)
+    return enumerate_class(GraphClassSpec("regular", n, d=d),
+                           caps_override=caps_override, workers=workers)
 
 
-def enumerate_by_edges(n: int, m: int, caps: Caps | None = None,
+def enumerate_by_edges(n: int, m: int, *, caps_override: bool = False,
                        workers: int = 1) -> list[Graph]:
     """All graphs on n vertices with exactly m edges, up to isomorphism."""
-    return enumerate_class(GraphClassSpec("edges", n, m=m), caps, workers)
+    return enumerate_class(GraphClassSpec("edges", n, m=m),
+                           caps_override=caps_override, workers=workers)
 
 
-def enumerate_almost_regular(n: int, m: int, caps: Caps | None = None,
+def enumerate_almost_regular(n: int, m: int, *, caps_override: bool = False,
                              workers: int = 1) -> list[Graph]:
     """Members of the edge-count class whose degrees span at most two adjacent values."""
-    return [g for g in enumerate_by_edges(n, m, caps, workers)
+    return [g for g in enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
             if degree_info(g).is_almost_regular]
 
 
-def ladder_level(n: int, m: int, k: int, caps: Caps | None = None,
+def ladder_level(n: int, m: int, k: int, *, caps_override: bool = False,
                  workers: int = 1) -> list[Graph]:
     """Iterated minimizers: level 1 is the whole class, level j+1 keeps the
     members minimizing the (j+1)-th Laplacian trace among level j. The first
     trace is 2m throughout, so level k is the class's lex minima at cutoff k."""
-    return select_lex_minima(enumerate_by_edges(n, m, caps, workers), LAPLACIAN, k)[0]
+    members = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
+    return select_lex_minima(members, LAPLACIAN, k)[0]
 
 
-def nu_min_set(n: int, m: int, caps: Caps | None = None,
+def nu_min_set(n: int, m: int, *, caps_override: bool = False,
                workers: int = 1) -> list[Graph]:
     """Minimizers of the induced-path count among almost-regular members."""
-    pool = enumerate_almost_regular(n, m, caps, workers)
+    pool = enumerate_almost_regular(n, m, caps_override=caps_override, workers=workers)
     if not pool:
         return []
     vals = [count_induced_p3(g) for g in pool]
@@ -558,12 +549,12 @@ def nu_min_set(n: int, m: int, caps: Caps | None = None,
     return [g for g, v in zip(pool, vals) if v == lo]
 
 
-def tau_min(n: int, d: int, caps: Caps | None = None,
+def tau_min(n: int, d: int, *, caps_override: bool = False,
             workers: int = 1) -> tuple[int | None, list[Graph]]:
     """Least triangle count over the regular class, with all witnesses.
 
     Empty class (odd parity) gives (None, [])."""
-    members = enumerate_regular(n, d, caps, workers)
+    members = enumerate_regular(n, d, caps_override=caps_override, workers=workers)
     if not members:
         return None, []
     vals = [count_triangles(g) for g in members]
@@ -605,7 +596,7 @@ def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
     return done
 
 
-def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
+def spool_class(spec: GraphClassSpec, path: str, *, caps_override: bool = False,
                 workers: int = 1) -> int:
     """Write one canonical graph6 line per class member to `path`.
 
@@ -622,7 +613,7 @@ def spool_class(spec: GraphClassSpec, path: str, caps: Caps | None = None,
         raise ValueError(f"output directory {folder} does not exist")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
-    tasks = _class_tasks(spec, caps or Caps())
+    tasks = _class_tasks(spec, caps_override=caps_override)
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
     done = _resume(ck_path, header, len(tasks))

@@ -328,23 +328,6 @@ def count_induced_p3(g: Graph) -> int:
     return s - 3 * count_triangles(g)
 
 
-def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        r = frontier
-        v = 0
-        while r:
-            if r & 1:
-                nxt |= g.rows[v]
-            r >>= 1
-            v += 1
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen.bit_count() == g.n
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     seen = 0
     comps = []
@@ -367,6 +350,10 @@ def connected_components(g: Graph) -> list[list[int]]:
         seen |= comp
         comps.append([v for v in range(g.n) if comp >> v & 1])
     return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) == 1
 
 
 def is_clique_union(g: Graph) -> bool:

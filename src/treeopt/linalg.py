@@ -25,14 +25,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def ones(cls, n: int) -> "IntMatrix":
-        return cls(tuple((1,) * n for _ in range(n)))
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         n = self.order
         if other.order != n:
@@ -41,30 +33,11 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.rows))
 
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s))
-                               for r, s in zip(self.rows, other.rows)))
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in r) for r in self.rows))
-
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.order))
 
-    def power(self, k: int) -> "IntMatrix":
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.mul(self)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
     return IntMatrix(tuple(tuple(g.rows[i] >> j & 1 for j in range(g.n))

@@ -142,10 +142,14 @@ def mixed_trace_identity_check(g: Graph, i: int, j: int) -> tuple[int, int, bool
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
     d = degs[0]
-    n = g.n
-    lap_i = laplacian(g).power(i)
-    b = IntMatrix.identity(n).scale(d + 1).sub(IntMatrix.ones(n))
-    lhs_mat = lap_i if j == 0 else lap_i.mul(b.power(j))
-    lhs = lhs_mat.trace()
-    rhs = (d + 1) ** j * trace_powers(laplacian(g), i)[-1]
+    lap = laplacian(g)
+    prod = lap
+    for _ in range(i - 1):
+        prod = prod.mul(lap)
+    # B = (d+1)I - J: d on the diagonal, -1 elsewhere
+    b = IntMatrix(tuple(tuple(d if r == c else -1 for c in range(g.n)) for r in range(g.n)))
+    for _ in range(j):
+        prod = prod.mul(b)
+    lhs = prod.trace()
+    rhs = (d + 1) ** j * trace_powers(lap, i)[-1]
     return lhs, rhs, lhs == rhs

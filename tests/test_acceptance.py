@@ -11,7 +11,6 @@ from treeopt.bounds import base_bound, improved_bound, family_tree_count
 from treeopt.certify import (
     REFUTED,
     VERIFIED,
-    RunConfig,
     cmd_check_duality,
     cmd_report_class,
     cmd_verify_l_trace_minimal,
@@ -20,7 +19,6 @@ from treeopt.certify import (
     report_to_json,
 )
 from treeopt.enumeration import (
-    Caps,
     GraphClassSpec,
     _class_tasks,
     _worker,
@@ -107,11 +105,10 @@ def test_criterion_03_mixed_trace_identity():
 
 def test_criterion_04_duality_sweep():
     t0 = time.monotonic()
-    config = RunConfig(worker_count=8)
     nonempty = set()
     for n in range(1, 10):
         for d in range(0, n):
-            cert = cmd_check_duality(n, d, config)
+            cert = cmd_check_duality(n, d, workers=8)
             assert cert.verdict == VERIFIED, (n, d)
             if cert.class_size > 0:
                 nonempty.add((n, d))
@@ -187,7 +184,7 @@ def test_criterion_08_t_optimality():
     assert winners == {canonical_form(path_graph(4)),
                        canonical_form(complete_bipartite(1, 3))}
 
-    reports = [cmd_report_class(8, 12, RunConfig(worker_count=w))
+    reports = [cmd_report_class(8, 12, workers=w)
                for w in WORKER_COUNTS]
     texts = {strip_timing(report_to_json(r)) for r in reports}
     assert len(texts) == 1
@@ -220,20 +217,20 @@ def test_criterion_09_ladder_consistency():
 def test_criterion_10_parallel_determinism():
     # the classes below really split: R_3(8) (duality) and S(6,9) (t-optimal)
     for spec in (GraphClassSpec("regular", 8, d=3), GraphClassSpec("edges", 6, m=9)):
-        assert sum(1 for task in _class_tasks(spec, Caps()) if _worker(task)) >= 2, spec
+        assert sum(1 for task in _class_tasks(spec) if _worker(task)) >= 2, spec
     two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
     runs = [
-        (lambda cfg: cmd_verify_trace_minimal(h_family(8), 8, 3, cfg), VERIFIED),
-        (lambda cfg: cmd_verify_trace_minimal(two_c3, 6, 2, cfg), REFUTED),
-        (lambda cfg: cmd_verify_l_trace_minimal(cycle_graph(6), 6, 2, cfg), REFUTED),
-        (lambda cfg: cmd_verify_t_optimal(complete_bipartite(3, 3), 6, 9, cfg),
+        (lambda w: cmd_verify_trace_minimal(h_family(8), 8, 3, workers=w), VERIFIED),
+        (lambda w: cmd_verify_trace_minimal(two_c3, 6, 2, workers=w), REFUTED),
+        (lambda w: cmd_verify_l_trace_minimal(cycle_graph(6), 6, 2, workers=w), REFUTED),
+        (lambda w: cmd_verify_t_optimal(complete_bipartite(3, 3), 6, 9, workers=w),
          VERIFIED),
-        (lambda cfg: cmd_check_duality(8, 3, cfg), VERIFIED),
+        (lambda w: cmd_check_duality(8, 3, workers=w), VERIFIED),
     ]
     for command, expected_verdict in runs:
         payloads = set()
         for w in WORKER_COUNTS:
-            cert = command(RunConfig(worker_count=w))
+            cert = command(w)
             assert cert.verdict == expected_verdict
             payloads.add(strip_timing(cert.to_json()))
         assert len(payloads) == 1

@@ -8,7 +8,6 @@ from treeopt.certify import (
     REFUTED,
     VERIFIED,
     Certificate,
-    RunConfig,
     Witness,
     cmd_check_duality,
     cmd_report_class,
@@ -148,7 +147,7 @@ def test_duality_empty_class():
 def test_payload_shape_and_worker_independence():
     texts = []
     for workers in (1, 2):
-        cert = cmd_check_duality(6, 2, RunConfig(worker_count=workers))
+        cert = cmd_check_duality(6, 2, workers=workers)
         texts.append(strip_timing(cert.to_json()))
     assert texts[0] == texts[1]
     payload = json.loads(texts[0])
@@ -215,6 +214,6 @@ def test_report_class_h_family():
 
 
 def test_report_deterministic_across_workers():
-    a = cmd_report_class(6, 9, RunConfig(worker_count=1))
-    b = cmd_report_class(6, 9, RunConfig(worker_count=2))
+    a = cmd_report_class(6, 9, workers=1)
+    b = cmd_report_class(6, 9, workers=2)
     assert strip_timing(report_to_json(a)) == strip_timing(report_to_json(b))

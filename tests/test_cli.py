@@ -91,6 +91,17 @@ def test_caps_override(capsys):
     assert len(lines) == 2
 
 
+def test_caps_override_reaches_the_certify_commands(capsys):
+    # S(9,2) is past the edge-count cap; both members (2K_2 and P_3) have t = 0
+    args = ["verify", "t-optimal", "--n", "9", "--m", "2", "--g6", "Ho?????"]
+    assert main(args) == 3
+    assert "refused:" in capsys.readouterr().err
+    assert main(args + ["--caps-override", "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "VERIFIED"
+    assert payload["class_size"] == "2" and len(payload["winners"]) == 2
+
+
 def test_enumerate_parity_warning(tmp_path, capsys):
     assert main(["enumerate", "--class", "r", "--n", "5", "--d", "3"]) == 0
     captured = capsys.readouterr()
@@ -308,7 +319,7 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
     args = ["enumerate", "--class", "s", "--n", "6", "--m", "7", "--workers", "1", "--out"]
     clean = tmp_path / "clean.g6"
     assert main(args + [str(clean)]) == 0
-    tasks = enum._class_tasks(enum.GraphClassSpec("edges", 6, m=7), enum.Caps())
+    tasks = enum._class_tasks(enum.GraphClassSpec("edges", 6, m=7))
     assert sum(1 for task in tasks if enum._worker(task)) >= 2  # the resume skips work
     out = tmp_path / "s67.g6"
     ck = tmp_path / "s67.g6.checkpoint"

@@ -26,7 +26,6 @@ from treeopt.graphs import (
 )
 from treeopt.enumeration import (
     CANONICAL_HARD_CAP,
-    Caps,
     GraphClassSpec,
     _class_tasks,
     _erdos_gallai,
@@ -374,7 +373,7 @@ def test_edge_class_counts_match_burnside_n8_spot():
     expect = burnside_counts(8)
     assert sum(expect) == 12346
     for m in (0, 12, 16, 28):
-        got = len(enumerate_by_edges(8, m, Caps(override=True)))
+        got = len(enumerate_by_edges(8, m, caps_override=True))
         assert got == expect[m], m
 
 
@@ -417,7 +416,7 @@ def test_regular_census_at_ten_vertices():
 def test_known_class_sizes():
     assert len(enumerate_regular(8, 3)) == 6
     assert len(enumerate_regular(9, 4)) == 16
-    assert len(enumerate_regular(10, 3, Caps())) == 21
+    assert len(enumerate_regular(10, 3)) == 21
     assert len(enumerate_by_edges(4, 3)) == 3
     assert [to_graph6(g) for g in enumerate_regular(6, 2)] == \
         sorted([canonical_form(cycle_graph(6)),
@@ -443,7 +442,7 @@ def test_validation_and_caps():
         enumerate_regular(11, 2)
     with pytest.raises(CapsExceededError):
         enumerate_by_edges(9, 4)
-    assert len(enumerate_by_edges(9, 2, Caps(override=True))) == 2  # 2K_2 or P_3
+    assert len(enumerate_by_edges(9, 2, caps_override=True)) == 2  # 2K_2 or P_3
 
 
 def test_worker_count_does_not_change_results():
@@ -454,9 +453,9 @@ def test_worker_count_does_not_change_results():
     assert [to_graph6(g) for g in enumerate_by_edges(6, 7, workers=3)] == edges_base
     # on classes whose partition really splits the work
     for spec in [GraphClassSpec("edges", 8, m=12), GraphClassSpec("regular", 10, d=4)]:
-        tasks = _class_tasks(spec, Caps())
+        tasks = _class_tasks(spec)
         assert sum(1 for task in tasks if enumeration._worker(task)) >= 2, spec
-        runs = {workers: [to_graph6(g) for g in enumerate_class(spec, None, workers)]
+        runs = {workers: [to_graph6(g) for g in enumerate_class(spec, workers=workers)]
                 for workers in (1, 2, 8)}
         assert runs[1] and runs[2] == runs[1] and runs[8] == runs[1], spec
 
@@ -479,7 +478,7 @@ def test_pool_size_is_capped_at_the_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    tasks = _class_tasks(GraphClassSpec("edges", 8, m=12), Caps())
+    tasks = _class_tasks(GraphClassSpec("edges", 8, m=12))
     serial = list(enumeration._run_partitioned(tasks, 1))
     assert sizes == []
     assert list(enumeration._run_partitioned(tasks, 5000)) == serial

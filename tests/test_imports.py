@@ -1,8 +1,8 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private name is read.
 
-No linter is a dependency, so this is the unused-import check, on the
-standard library's `ast`. `__init__.py` is skipped: its imports are the
-package's exports.
+No linter is a dependency, so these are the unused-import and dead-name
+checks, on the standard library's `ast`. The import check skips
+`__init__.py`: its imports are the package's exports.
 """
 import ast
 from pathlib import Path
@@ -36,3 +36,47 @@ def test_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names (`_x`, not dunder) that no module reads.
+
+    A name counts as read where it is loaded or taken as an attribute in any
+    of `sources`, its own module included.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module} line {node.lineno}: {name}" for name in defined
+                      if name.startswith("_") and not name.endswith("__")
+                      and name not in read]
+    return found
+
+
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_CAP, __all__ = 4, []\n\n\ndef _helper():\n    return _CAP\n",
+        "b.py": "import a\n\n\ndef _unused():\n    return a._helper()\n",
+    }
+    assert unused_private_names(sources) == ["a.py line 1: _LIMIT", "b.py line 4: _unused"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

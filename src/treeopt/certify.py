@@ -18,6 +18,7 @@ from typing import Optional
 from .bounds import INCONCLUSIVE, girth_certificate
 from .enumeration import (
     GraphClassSpec,
+    Row,
     canonical_form,
     enumerate_by_edges,
     enumerate_regular,
@@ -168,17 +169,30 @@ def _locate(cand_form: str, forms: list[str]) -> int:
     return forms.index(cand_form)
 
 
-def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int
-                     ) -> tuple[list[tuple[int, str, Graph]], str | None]:
-    """S_{n,m} as (t, canonical graph6, graph) rows, one per member, ordered
-    by t descending and then graph6 ascending, plus the H family's form when
-    m = n(n-5)/2."""
-    members = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
+def _t_row(g: Graph) -> tuple[int, str, int]:
+    """A member's (-t, canonical graph6, t), all `verify t-optimal` needs.
+    Ascending order ranks by t descending, then graph6 ascending."""
+    t = spanning_tree_count(g)
+    return -t, to_graph6(g), t
+
+
+def _report_row(g: Graph) -> tuple:
+    """`_t_row` followed by the report's regular and almost-regular flags,
+    nu and tau."""
+    info = degree_info(g)
+    return (*_t_row(g), info.is_regular, info.is_almost_regular,
+            count_induced_p3(g), count_triangles(g))
+
+
+def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int, row: Row
+                     ) -> tuple[list[tuple], str | None]:
+    """S_{n,m} as rows made by `row` (`_t_row` or `_report_row`) in the
+    workers, one per member, ordered by t descending and then graph6
+    ascending, plus the H family's form when m = n(n-5)/2."""
+    ranked = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers, row=row)
     h_form = None
     if n >= 5 and m == n * (n - 5) // 2:
         h_form = canonical_form(h_family(n))
-    ranked = sorted(((spanning_tree_count(g), to_graph6(g), g) for g in members),
-                    key=lambda r: (-r[0], r[1]))
     return ranked, h_form
 
 
@@ -243,11 +257,11 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int, *,
         raise ValueError(
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
-    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers)
+    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers, _t_row)
     cand_form = canonical_form(candidate)
-    cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][0]
-    tmax = ranked[0][0]
-    winners = tuple(form for t, form, _ in ranked if t == tmax)
+    cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][2]
+    tmax = ranked[0][2]
+    winners = tuple(form for _, form, t in ranked if t == tmax)
     extra = {
         "candidate_t": str(cand_t),
         "max_t": str(tmax),
@@ -313,21 +327,20 @@ def cmd_report_class(n: int, m: int, *, caps_override: bool = False,
     asserted: the table reports, tests elsewhere decide.
     """
     t0 = time.perf_counter()
-    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers)
+    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers, _report_row)
     rows = []
     h_rank = None
-    for rank, (t, form, g) in enumerate(ranked, start=1):
+    for rank, (_, form, t, regular, almost_regular, nu, tau) in enumerate(ranked, start=1):
         if form == h_form:
             h_rank = rank
-        info = degree_info(g)
         rows.append({
             "rank": str(rank),
             "graph6": form,
             "t": str(t),
-            "regular": info.is_regular,
-            "almost_regular": info.is_almost_regular,
-            "nu": str(count_induced_p3(g)),
-            "tau": str(count_triangles(g)),
+            "regular": regular,
+            "almost_regular": almost_regular,
+            "nu": str(nu),
+            "tau": str(tau),
             "is_h_family": form == h_form,
         })
     report = {

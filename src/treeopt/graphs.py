@@ -43,6 +43,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: the default
+        # protocol would restore the slots by assignment, which is refused
+        return Graph, (self.n, self.rows)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n

@@ -25,6 +25,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        return IntMatrix, (self.rows,)
+
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         n = self.order
         if other.order != n:

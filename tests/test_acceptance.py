@@ -31,6 +31,7 @@ from treeopt.enumeration import (
     nu_min_set,
 )
 from treeopt.graphs import (
+    Graph,
     complement,
     complete_bipartite,
     complete_graph,
@@ -215,16 +216,20 @@ def test_criterion_09_ladder_consistency():
 
 
 def test_criterion_10_parallel_determinism():
-    # the classes below really split: R_3(8) (duality) and S(6,9) (t-optimal)
-    for spec in (GraphClassSpec("regular", 8, d=3), GraphClassSpec("edges", 6, m=9)):
+    # the classes below really split: R_3(8) (duality), S(6,9) and S(8,12) (t-optimal)
+    for spec in (GraphClassSpec("regular", 8, d=3), GraphClassSpec("edges", 6, m=9),
+                 GraphClassSpec("edges", 8, m=12)):
         assert sum(1 for task in _class_tasks(spec) if _worker(task)) >= 2, spec
     two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
+    # t = 384, below the H family's 392
+    cube = Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
     runs = [
         (lambda w: cmd_verify_trace_minimal(h_family(8), 8, 3, workers=w), VERIFIED),
         (lambda w: cmd_verify_trace_minimal(two_c3, 6, 2, workers=w), REFUTED),
         (lambda w: cmd_verify_l_trace_minimal(cycle_graph(6), 6, 2, workers=w), REFUTED),
         (lambda w: cmd_verify_t_optimal(complete_bipartite(3, 3), 6, 9, workers=w),
          VERIFIED),
+        (lambda w: cmd_verify_t_optimal(cube, 8, 12, workers=w), REFUTED),
         (lambda w: cmd_check_duality(8, 3, workers=w), VERIFIED),
     ]
     for command, expected_verdict in runs:

@@ -2,12 +2,15 @@
 
 `bench/tracing.py` wraps each (module, attribute) in SPANS by name, so a
 renamed or deleted function would only fail once `bench/run.py --trace 1`
-runs. The file is read and executed from source, which writes nothing
-under bench/.
+runs, and the ranked pass must go through the wrapped entry points for the
+trace to book its members and tree counts. The file is read and executed
+from source, which writes nothing under bench/.
 """
 import importlib
 import runpy
 from pathlib import Path
+
+from treeopt.certify import cmd_report_class
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -22,3 +25,16 @@ def test_every_span_resolves():
             assert callable(getattr(module, cls_name).__dict__.get(meth)), (module_name, attr)
         else:
             assert callable(module.__dict__.get(attr)), (module_name, attr)
+
+
+def test_ranked_pass_is_traced():
+    # the tracer books members and tree counts at the wrapped entry points, so
+    # a ranked pass that goes round `enumerate_by_edges` would read zero here
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"]()
+    with tracing["traced"](tracer):
+        report = cmd_report_class(6, 9)
+    _, calls, _ = tracer.totals()
+    size = int(report["class_size"])
+    assert size == 21
+    assert tracer.members == size and calls["spanning_tree_count"] == size

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -25,10 +26,12 @@ from treeopt.graphs import (
     complement,
     complete_bipartite,
     complete_graph,
+    count_triangles,
     cycle_graph,
     disjoint_union,
     empty_graph,
     h_family,
+    to_graph6,
 )
 
 from conftest import strip_timing
@@ -217,3 +220,30 @@ def test_report_deterministic_across_workers():
     a = cmd_report_class(6, 9, workers=1)
     b = cmd_report_class(6, 9, workers=2)
     assert strip_timing(report_to_json(a)) == strip_timing(report_to_json(b))
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record each call of `fn` from any treeopt module that imported it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "treeopt" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def test_report_encodes_each_member_once(monkeypatch):
+    calls = _count_calls(monkeypatch, to_graph6)
+    report = cmd_report_class(8, 12, workers=1)
+    # 1,312 members, each encoded once in its task, plus the H family's form
+    assert report["class_size"] == "1312" and len(calls) == 1313
+
+
+def test_verify_t_optimal_counts_no_triangles(monkeypatch):
+    calls = _count_calls(monkeypatch, count_triangles)
+    assert cmd_verify_t_optimal(k33, 6, 9, workers=1).verdict == VERIFIED
+    assert calls == []

@@ -325,10 +325,10 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
     ck = tmp_path / "s67.g6.checkpoint"
     real_worker = enum._worker
 
-    def interrupted(task):
+    def interrupted(task, row):
         if ck.exists() and ck.read_text().count("\n") >= 2:  # header and one record
             raise KeyboardInterrupt
-        return real_worker(task)
+        return real_worker(task, row)
 
     monkeypatch.setattr(enum, "_worker", interrupted)
     capsys.readouterr()

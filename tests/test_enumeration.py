@@ -479,9 +479,9 @@ def test_pool_size_is_capped_at_the_task_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     tasks = _class_tasks(GraphClassSpec("edges", 8, m=12))
-    serial = list(enumeration._run_partitioned(tasks, 1))
+    serial = list(enumeration._run_partitioned(tasks, 1, to_graph6))
     assert sizes == []
-    assert list(enumeration._run_partitioned(tasks, 5000)) == serial
+    assert list(enumeration._run_partitioned(tasks, 5000, to_graph6)) == serial
     assert sizes == [len(tasks)] and len(tasks) < 5000
 
 
@@ -557,9 +557,9 @@ def test_spool_resumes_from_checkpoint(tmp_path, monkeypatch):
     calls = []
     found = []
 
-    def counting(task):
+    def counting(task, row):
         calls.append(task)
-        members = real_worker(task)
+        members = real_worker(task, row)
         found.append(len(members))
         return members
 
@@ -574,11 +574,11 @@ def test_spool_resumes_from_checkpoint(tmp_path, monkeypatch):
     out2 = tmp_path / "s67b.g6"
     calls.clear()
 
-    def crashing(task):
+    def crashing(task, row):
         if len(calls) >= 1:
             raise RuntimeError("simulated interruption")
         calls.append(task)
-        return real_worker(task)
+        return real_worker(task, row)
 
     monkeypatch.setattr(enum, "_worker", crashing)
     with pytest.raises(RuntimeError):
@@ -611,9 +611,9 @@ def test_spool_resumes_from_a_torn_checkpoint(tmp_path, monkeypatch):
     real_worker = enum._worker
     calls = []
 
-    def counting(task):
+    def counting(task, row):
         calls.append(task)
-        return real_worker(task)
+        return real_worker(task, row)
 
     monkeypatch.setattr(enum, "_worker", counting)
     for cut in range(len(full) + 1):

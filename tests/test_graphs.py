@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,16 @@ def test_equality_and_hash():
     b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != cycle_graph(4)
+
+
+def test_pickle_and_copy_round_trip():
+    g = cycle_graph(5)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and twin.rows == g.rows and twin.n == g.n
+        with pytest.raises(AttributeError):
+            twin.n = 4
+        with pytest.raises(AttributeError):
+            twin.rows = ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +62,14 @@ def test_matrix_ops():
     assert a.mul(b) == a
     with pytest.raises(ValueError):
         IntMatrix(((1, 2),))  # not square
+
+
+def test_matrix_pickle_and_copy_round_trip():
+    a = IntMatrix(((1, -2), (3, 4)))
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and twin.order == 2
+        with pytest.raises(AttributeError):
+            twin.rows = ()
 
 
 def test_adjacency_and_laplacian():

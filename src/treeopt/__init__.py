@@ -86,7 +86,6 @@ from .graphs import (
     to_graph6,
 )
 from .linalg import (
-    CharPoly,
     IntMatrix,
     adjacency_matrix,
     char_poly,

@@ -115,11 +115,11 @@ def family_tree_count(g0: Graph, d: int, p: int, q: int) -> FamilyTreeCount:
     big = extend_g0(g0, d, p, q)  # validates the degree precondition
     np_ = big.n
     direct = spanning_tree_count(complement(big))
-    poly = char_poly(laplacian(g0))
+    poly_at_np = sum(c * np_ ** k for k, c in enumerate(char_poly(laplacian(g0))))
     val = Fraction(np_) ** (np_ - 2 - p * d - q * (d - 1)) \
         * Fraction(np_ - d - 1) ** (p * d) \
         * Fraction(np_ - d) ** (q * (d - 1)) \
-        * Fraction(poly.evaluate(np_), np_ ** g0.n)
+        * Fraction(poly_at_np, np_ ** g0.n)
     if val.denominator != 1:
         raise InternalConsistencyError(f"family product {val} is not an integer")
     return FamilyTreeCount(direct=direct, via_polynomial=int(val))

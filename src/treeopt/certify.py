@@ -180,8 +180,8 @@ def _report_row(g: Graph) -> tuple:
     """`_t_row` followed by the report's regular and almost-regular flags,
     nu and tau."""
     info = degree_info(g)
-    return (*_t_row(g), info.is_regular, info.is_almost_regular,
-            count_induced_p3(g), count_triangles(g))
+    tau = count_triangles(g)
+    return (*_t_row(g), info.is_regular, info.is_almost_regular, count_induced_p3(g, tau), tau)
 
 
 def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int, row: Row

@@ -326,11 +326,12 @@ def count_triangles(g: Graph) -> int:
     return total
 
 
-def count_induced_p3(g: Graph) -> int:
-    """Induced 2-edge paths (nu): sum C(d_i, 2) minus 3 * triangle count.
-    The third gap equals twice this."""
-    s = sum(d * (d - 1) // 2 for d in g.degrees())
-    return s - 3 * count_triangles(g)
+def count_induced_p3(g: Graph, triangles: int | None = None) -> int:
+    """Induced 2-edge paths (nu): sum C(d_i, 2) minus 3 * `triangles`, which
+    defaults to `count_triangles(g)`. The third gap equals twice this."""
+    if triangles is None:
+        triangles = count_triangles(g)
+    return sum(d * (d - 1) // 2 for d in g.degrees()) - 3 * triangles
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -1,11 +1,12 @@
 """Exact integer matrix work: characteristic polynomials and tree counts.
 
 Everything here is division-free or uses exact divisions only; no floats.
+Graph matrices have at most d + 1 nonzeros per row, so products sum only
+over the nonzero entries of each column of the right factor. `IntMatrix`
+stays, not plain rows, because the benchmark books products at its `mul`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .graphs import Graph, complement
@@ -29,12 +30,11 @@ class IntMatrix:
         return IntMatrix, (self.rows,)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.order
-        if other.order != n:
+        if other.order != self.order:
             raise ValueError("order mismatch")
-        bt = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.rows))
+        cols = [[(l, v) for l, v in enumerate(col) if v] for col in zip(*other.rows)]
+        return _trusted(tuple(tuple(sum([row[l] * v for l, v in col]) for col in cols)
+                              for row in self.rows))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.order))
@@ -42,61 +42,49 @@ class IntMatrix:
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
+
+def _trusted(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """IntMatrix over square int rows made here: no re-conversion, no check."""
+    mat = object.__new__(IntMatrix)
+    object.__setattr__(mat, "order", len(rows))
+    object.__setattr__(mat, "rows", rows)
+    return mat
+
+
 def adjacency_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix(tuple(tuple(g.rows[i] >> j & 1 for j in range(g.n))
-                           for i in range(g.n)))
+    return _trusted(tuple(tuple(r >> j & 1 for j in range(g.n)) for r in g.rows))
 
 
 def laplacian(g: Graph) -> IntMatrix:
-    degs = g.degrees()
-    return IntMatrix(tuple(
-        tuple(degs[i] if i == j else -(g.rows[i] >> j & 1) for j in range(g.n))
-        for i in range(g.n)))
+    return _trusted(tuple(
+        tuple(r.bit_count() if i == j else -(r >> j & 1) for j in range(g.n))
+        for i, r in enumerate(g.rows)))
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic P(x) = sum coeffs[k] x^k, exact integer coefficients."""
-
-    coeffs: tuple[int, ...]  # ascending, coeffs[-1] == 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def char_poly(mat: IntMatrix) -> CharPoly:
-    """det(xI - mat) by the Berkowitz division-free scheme."""
-    n = mat.order
+def char_poly(mat: IntMatrix) -> tuple[int, ...]:
+    """det(xI - mat) by the Berkowitz division-free scheme, as its exact
+    coefficients in ascending order (the last one is 1)."""
     a = mat.rows
     poly = [1]  # descending coefficients, current leading principal block
-    if n:
-        poly = [1, -a[0][0]]
-    for k in range(1, n):
+    for k in range(mat.order):
         row = a[k][:k]
-        col = [a[i][k] for i in range(k)]
+        w = [a[i][k] for i in range(k)]
         toep = [1, -a[k][k]]
-        w = col
         for step in range(k):
             toep.append(-sum(row[i] * w[i] for i in range(k)))
             if step < k - 1:
                 w = [sum(a[i][j] * w[j] for j in range(k)) for i in range(k)]
-        new = []
-        for i in range(len(poly) + 1):
-            acc = 0
-            for j in range(max(0, i - len(toep) + 1), min(i, len(poly) - 1) + 1):
-                acc += toep[i - j] * poly[j]
-            new.append(acc)
-        poly = new
-    return CharPoly(tuple(reversed(poly)))
+        # times the lower-triangular Toeplitz matrix whose first column is toep
+        poly = [sum(toep[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+                for i in range(len(poly) + 1)]
+    return tuple(reversed(poly))
 
 
 def det_bareiss(rows) -> int:
     """Exact determinant by fraction-free elimination.
 
-    Accepts an IntMatrix or any square sequence of integer rows.
+    Accepts an IntMatrix or any square sequence of integer rows. A row with
+    0 in the pivot column is only rescaled, or left alone if pivot == prev.
     """
     if isinstance(rows, IntMatrix):
         rows = rows.rows
@@ -113,28 +101,39 @@ def det_bareiss(rows) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        top = a[k]
+        p = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            f = row[k]
+            if f or p != prev:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Matrix-tree count: any principal (n-1)-minor of the Laplacian."""
-    if g.n == 1:
-        return 1
-    lap = laplacian(g).rows
-    minor = [r[:-1] for r in lap[:-1]]
+    """Matrix-tree count: any principal (n-1)-minor of the Laplacian, here
+    the one without the last vertex, built from the bitset rows."""
+    m = g.n - 1
+    minor = []
+    for i, r in enumerate(g.rows[:m]):
+        row = [0] * m
+        bits = r & ((1 << m) - 1)
+        while bits:
+            low = bits & -bits
+            row[low.bit_length() - 1] = -1
+            bits ^= low
+        row[i] = r.bit_count()
+        minor.append(row)
     return det_bareiss(minor)
 
 
 def tree_count_via_complement(g: Graph) -> int:
     """t(g) as P_complement(n) / n^2, exactness of the division enforced."""
     n = g.n
-    p = char_poly(laplacian(complement(g)))
-    val = p.evaluate(n)
+    val = sum(c * n ** k for k, c in enumerate(char_poly(laplacian(complement(g)))))
     q, r = divmod(val, n * n)
     if r:
         raise InternalConsistencyError(

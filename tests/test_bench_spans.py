@@ -10,7 +10,7 @@ import importlib
 import runpy
 from pathlib import Path
 
-from treeopt.certify import cmd_report_class
+from treeopt.certify import cmd_check_duality, cmd_report_class
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -27,14 +27,29 @@ def test_every_span_resolves():
             assert callable(module.__dict__.get(attr)), (module_name, attr)
 
 
-def test_ranked_pass_is_traced():
-    # the tracer books members and tree counts at the wrapped entry points, so
-    # a ranked pass that goes round `enumerate_by_edges` would read zero here
+def _traced_calls(command, *args):
     tracing = runpy.run_path(str(TRACING))
     tracer = tracing["Tracer"]()
     with tracing["traced"](tracer):
-        report = cmd_report_class(6, 9)
-    _, calls, _ = tracer.totals()
+        result = command(*args)
+    return result, tracer, tracer.totals()[1]
+
+
+def test_ranked_pass_is_traced():
+    # the tracer books members and tree counts at the wrapped entry points, so
+    # a ranked pass that goes round `enumerate_by_edges` would read zero here
+    report, tracer, calls = _traced_calls(cmd_report_class, 6, 9)
     size = int(report["class_size"])
     assert size == 21
     assert tracer.members == size and calls["spanning_tree_count"] == size
+    # each tree count's determinant runs through the wrapped `det_bareiss`
+    assert calls["det_bareiss"] == calls["spanning_tree_count"]
+    # one triangle count per member serves both nu and tau
+    assert calls["count_triangles"] == size
+
+
+def test_trace_products_are_traced():
+    # `linalg.matmul` is booked at `IntMatrix.mul`: lex-minimum selection
+    # must still multiply through it
+    _, _, calls = _traced_calls(cmd_check_duality, 8, 3)
+    assert calls["IntMatrix.mul"] > 0

@@ -1,9 +1,10 @@
 """Exact integer matrix work: characteristic polynomials and tree counts.
 
 Everything here is division-free or uses exact divisions only; no floats.
-Graph matrices have at most d + 1 nonzeros per row, so products sum only
-over the nonzero entries of each column of the right factor. `IntMatrix`
-stays, not plain rows, because the benchmark books products at its `mul`.
+Products sum only over the nonzero entries of each column of the right
+factor, which saves work when that factor is sparse: a power of a graph's
+A or L has at most d + 1 of them per column. `IntMatrix` stays, not plain
+rows, because the benchmark books products at its `mul`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class IntMatrix:
         if other.order != self.order:
             raise ValueError("order mismatch")
         cols = [[(l, v) for l, v in enumerate(col) if v] for col in zip(*other.rows)]
-        return _trusted(tuple(tuple(sum([row[l] * v for l, v in col]) for col in cols)
-                              for row in self.rows))
+        return IntMatrix([[sum([row[l] * v for l, v in col]) for col in cols]
+                          for row in self.rows])
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.order))
@@ -43,22 +44,13 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
 
-def _trusted(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
-    """IntMatrix over square int rows made here: no re-conversion, no check."""
-    mat = object.__new__(IntMatrix)
-    object.__setattr__(mat, "order", len(rows))
-    object.__setattr__(mat, "rows", rows)
-    return mat
-
-
 def adjacency_matrix(g: Graph) -> IntMatrix:
-    return _trusted(tuple(tuple(r >> j & 1 for j in range(g.n)) for r in g.rows))
+    return IntMatrix([[r >> j & 1 for j in range(g.n)] for r in g.rows])
 
 
 def laplacian(g: Graph) -> IntMatrix:
-    return _trusted(tuple(
-        tuple(r.bit_count() if i == j else -(r >> j & 1) for j in range(g.n))
-        for i, r in enumerate(g.rows)))
+    return IntMatrix([[r.bit_count() if i == j else -(r >> j & 1) for j in range(g.n)]
+                      for i, r in enumerate(g.rows)])
 
 
 def char_poly(mat: IntMatrix) -> tuple[int, ...]:
@@ -83,8 +75,7 @@ def char_poly(mat: IntMatrix) -> tuple[int, ...]:
 def det_bareiss(rows) -> int:
     """Exact determinant by fraction-free elimination.
 
-    Accepts an IntMatrix or any square sequence of integer rows. A row with
-    0 in the pivot column is only rescaled, or left alone if pivot == prev.
+    Accepts an IntMatrix or any square sequence of integer rows.
     """
     if isinstance(rows, IntMatrix):
         rows = rows.rows
@@ -106,9 +97,8 @@ def det_bareiss(rows) -> int:
         for i in range(k + 1, n):
             row = a[i]
             f = row[k]
-            if f or p != prev:
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * p - f * top[j]) // prev
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * top[j]) // prev
         prev = p
     return sign * a[n - 1][n - 1]
 

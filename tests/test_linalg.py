@@ -91,8 +91,7 @@ def test_sparse_product_matches_triple_loop(pair):
     a, b = pair
     prod = a.mul(b)
     public = IntMatrix(naive_mul(a.rows, b.rows))
-    # the product is built by the module's unchecked constructor: it must be
-    # indistinguishable from the public one
+    # the product must be indistinguishable from the same rows built directly
     assert prod == public and prod.order == public.order
     assert pickle.dumps(prod) == pickle.dumps(public)
     with pytest.raises(AttributeError):
@@ -120,9 +119,10 @@ def test_det_known_values():
     # column 1 has a zero pivot only after step 0 and needs a swap
     [[1, 2, 3], [2, 4, 1], [3, 5, 2]],
     # rows 2 and 3 already hold 0 in column 0, so step 0 only rescales them
+    # (times the pivot 3, divided by 1)
     [[3, 1, 2, 0], [0, 2, 1, 1], [0, 1, 4, 2], [1, 0, 2, 5]],
     # the pivot at step 1 equals the one at step 0 (-3) and row 2 holds 0 in
-    # column 1, so step 1 leaves it alone
+    # column 1, so the update at step 1 leaves it unchanged
     [[-3, 3, 0], [0, 1, 3], [3, -3, 2]],
     # singular, seen only at step 1: no nonzero left in column 1
     [[1, 2, 3, 4], [2, 4, 6, 9], [3, 6, 1, 2], [1, 2, 0, 7]],

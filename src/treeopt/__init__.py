@@ -28,7 +28,6 @@ from .bounds import (
     CERTIFIED_UNIQUE,
     INCONCLUSIVE,
     BoundReport,
-    FamilyTreeCount,
     abrego_feasibility,
     base_bound,
     f_of,
@@ -40,7 +39,6 @@ from .bounds import (
 from .enumeration import (
     CANONICAL_HARD_CAP,
     GraphClassSpec,
-    are_isomorphic,
     canonical_form,
     canonical_relabel,
     enumerate_almost_regular,
@@ -61,7 +59,6 @@ from .errors import (
 from .graphs import (
     GIRTH_INFINITE,
     MAX_VERTICES,
-    DegreeInfo,
     Graph,
     complement,
     complete_bipartite,
@@ -98,13 +95,10 @@ from .linalg import (
 from .sequences import (
     ADJACENCY,
     LAPLACIAN,
-    LexVerdict,
-    TraceSequence,
     adjacency_sequence,
     degree_power_floor,
     gap_sequence,
     laplacian_sequence,
-    lex_compare,
     mixed_trace_identity_check,
     select_lex_minima,
 )

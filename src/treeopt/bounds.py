@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .enumeration import canonical_form, canonical_relabel
+from .enumeration import canonical_relabel
 from .errors import InternalConsistencyError
 from .graphs import (Graph, complement, count_induced_p3, extend_g0, girth,
-                     girth_and_cycles, is_clique_union, is_connected, to_graph6)
+                     girth_and_cycles, is_clique_union, is_connected)
 from .linalg import char_poly, laplacian, spanning_tree_count
 from .sequences import gap_sequence
 
@@ -91,27 +91,10 @@ def improved_bound(g: Graph, c: int) -> BoundReport:
     return _bound_report(g, terms, c_used=c)
 
 
-@dataclass(frozen=True)
-class FamilyTreeCount:
-    """Complement tree count of a clique-extended graph, both evaluation paths."""
-
-    direct: int  # matrix-tree on the complement
-    via_polynomial: int  # rational product formula, exact
-
-    @property
-    def agree(self) -> bool:
-        return self.direct == self.via_polynomial
-
-    @property
-    def value(self) -> int:
-        if not self.agree:
-            raise InternalConsistencyError(
-                f"family count paths disagree: {self.direct} vs {self.via_polynomial}")
-        return self.direct
-
-
-def family_tree_count(g0: Graph, d: int, p: int, q: int) -> FamilyTreeCount:
-    """t(complement(g0 + p K_{d+1} + q K_d)) along two independent routes."""
+def family_tree_count(g0: Graph, d: int, p: int, q: int) -> int:
+    """t(complement(g0 + p K_{d+1} + q K_d)) along two independent routes:
+    matrix-tree on the complement, and the exact rational product formula
+    over g0's Laplacian polynomial. They must agree."""
     big = extend_g0(g0, d, p, q)  # validates the degree precondition
     np_ = big.n
     direct = spanning_tree_count(complement(big))
@@ -122,7 +105,9 @@ def family_tree_count(g0: Graph, d: int, p: int, q: int) -> FamilyTreeCount:
         * Fraction(poly_at_np, np_ ** g0.n)
     if val.denominator != 1:
         raise InternalConsistencyError(f"family product {val} is not an integer")
-    return FamilyTreeCount(direct=direct, via_polynomial=int(val))
+    if val != direct:
+        raise InternalConsistencyError(f"family count paths disagree: {direct} vs {val}")
+    return direct
 
 
 def n0_threshold(g0_order: int, d: int, c: int) -> int:
@@ -154,19 +139,15 @@ def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
     diverging cycle count (lengths 3..2*girth-1) is strictly larger;
     INCONCLUSIVE otherwise. Inconclusive is not a refutation.
 
-    Members are one per isomorphism class. Enumerator members are in
-    canonical form, so the member equal to the candidate's canonical
-    relabeling is the candidate; members in other labelings are matched by
-    canonical form.
+    Members are canonical representatives, one per isomorphism class, as
+    the enumerators emit them: the member equal to the candidate's canonical
+    relabeling is the candidate.
     """
     pool = list(members)
     canon = canonical_relabel(candidate)
     others = [g for g in pool if g != canon]
     if len(others) == len(pool):
-        cand_form = to_graph6(canon)
-        others = [g for g in pool if canonical_form(g) != cand_form]
-    if len(others) == len(pool):
-        raise ValueError("candidate is not a member of the class")
+        raise ValueError("candidate is not among the members, which must be canonical")
     g_girth = girth(candidate)
     other_girths = [girth(h) for h in others]
     if all(gh < g_girth for gh in other_girths):

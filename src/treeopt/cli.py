@@ -45,18 +45,12 @@ EXIT_INTERRUPTED = 130
 
 
 def _workers(ns) -> int:
-    """--workers, else TREEOPT_WORKERS, else every core."""
-    if ns.workers is not None:
-        if ns.workers < 1:
-            raise ValueError("--workers must be positive")
-        return ns.workers
-    env = os.environ.get("TREEOPT_WORKERS")
-    if env is None:
+    """--workers, else every core."""
+    if ns.workers is None:
         return os.cpu_count() or 1
-    value = int(env)  # bad values surface as a usage error
-    if value < 1:
-        raise ValueError(f"TREEOPT_WORKERS must be positive, got {env!r}")
-    return value
+    if ns.workers < 1:
+        raise ValueError("--workers must be positive")
+    return ns.workers
 
 
 # Each `_run_*` takes the parsed arguments and the worker count and returns
@@ -84,9 +78,9 @@ def _run_seq(ns, workers):
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
     seq = (laplacian_sequence if ns.kind == "lap" else adjacency_sequence)(g, ns.k)
-    vals = " ".join(str(v) for v in seq.values)
+    vals = " ".join(str(v) for v in seq)
     return _plain({"command": "seq", "kind": ns.kind, "graph6": ns.g6,
-                   "k": str(ns.k), "values": [str(v) for v in seq.values]},
+                   "k": str(ns.k), "values": [str(v) for v in seq]},
                   f"{ns.kind} traces k=1..{ns.k}: {vals}\n")
 
 
@@ -208,7 +202,7 @@ def _run_threshold(ns, workers):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: TREEOPT_WORKERS or all cores)")
+                        help="worker processes (default: all cores)")
     common.add_argument("--format", choices=["text", "structured"], default="text")
     common.add_argument("--caps-override", action="store_true",
                         help="raise the enumeration size caps one notch")

@@ -156,10 +156,6 @@ def canonical_form(g: Graph) -> str:
     return to_graph6(canonical_relabel(g))
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
-
-
 # ---------------------------------------------------------------------------
 # orderly generation: row completion over packed cells
 

@@ -60,9 +60,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -127,12 +124,12 @@ class Graph:
 
 def from_graph6(text: str) -> Graph:
     data = text.strip()
-    raw = data.encode("ascii", errors="replace")
-    if not raw:
+    if not data:
         raise Graph6Error("empty graph6 string", 0)
-    for off, b in enumerate(raw):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"character {chr(b)!r} outside graph6 range", off)
+    for off, ch in enumerate(data):
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"character {ch!r} outside graph6 range", off)
+    raw = data.encode("ascii")
     n = raw[0] - 63
     if n == 63:
         # long-form marker '~'; only the short form (n <= 62) is supported
@@ -301,7 +298,6 @@ def h_family(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class DegreeInfo:
-    degrees: tuple[int, ...]
     is_regular: bool
     is_almost_regular: bool  # degrees take at most two values, and those differ by 1
 
@@ -309,7 +305,7 @@ class DegreeInfo:
 def degree_info(g: Graph) -> DegreeInfo:
     degs = g.degrees()
     lo, hi = min(degs), max(degs)
-    return DegreeInfo(degs, lo == hi, hi - lo <= 1)
+    return DegreeInfo(lo == hi, hi - lo <= 1)
 
 
 def count_triangles(g: Graph) -> int:

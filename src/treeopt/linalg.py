@@ -2,9 +2,11 @@
 
 Everything here is division-free or uses exact divisions only; no floats.
 Products sum only over the nonzero entries of each column of the right
-factor, which saves work when that factor is sparse: a power of a graph's
-A or L has at most d + 1 of them per column. `IntMatrix` stays, not plain
-rows, because the benchmark books products at its `mul`.
+factor, which saves work when that factor is sparse. In a trace power the
+right factor is A or L itself, with at most d + 1 nonzeros per column; a
+dense one, such as the (d+1)I - J of `mixed_trace_identity_check`, gains
+nothing. `IntMatrix` stays, not plain rows, because the benchmark books
+products at its `mul`.
 """
 
 from __future__ import annotations
@@ -73,12 +75,8 @@ def char_poly(mat: IntMatrix) -> tuple[int, ...]:
 
 
 def det_bareiss(rows) -> int:
-    """Exact determinant by fraction-free elimination.
-
-    Accepts an IntMatrix or any square sequence of integer rows.
-    """
-    if isinstance(rows, IntMatrix):
-        rows = rows.rows
+    """Exact determinant of a square sequence of integer rows, by
+    fraction-free elimination."""
     a = [list(r) for r in rows]
     n = len(a)
     if n == 0:

@@ -7,7 +7,6 @@ graphs whose sequences agree through n agree at every length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalConsistencyError
@@ -18,24 +17,7 @@ ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
 
 EQUAL = "EQUAL"
-LESS = "LESS"
 GREATER = "GREATER"
-
-
-@dataclass(frozen=True)
-class TraceSequence:
-    kind: str
-    values: tuple[int, ...]  # values[i] = trace of the (i+1)-th power
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class LexVerdict:
-    relation: str  # EQUAL, LESS, GREATER
-    divergence_index: int | None  # 1-based, None when EQUAL
 
 
 def _matrix_for(g: Graph, kind: str) -> IntMatrix:
@@ -46,12 +28,14 @@ def _matrix_for(g: Graph, kind: str) -> IntMatrix:
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
-def adjacency_sequence(g: Graph, cutoff: int) -> TraceSequence:
-    return TraceSequence(ADJACENCY, tuple(trace_powers(adjacency_matrix(g), cutoff)))
+def adjacency_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
+    """Traces of A^1..A^cutoff: entry k-1 is the trace at index k."""
+    return tuple(trace_powers(adjacency_matrix(g), cutoff))
 
 
-def laplacian_sequence(g: Graph, cutoff: int) -> TraceSequence:
-    return TraceSequence(LAPLACIAN, tuple(trace_powers(laplacian(g), cutoff)))
+def laplacian_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
+    """Traces of L^1..L^cutoff: entry k-1 is the trace at index k."""
+    return tuple(trace_powers(laplacian(g), cutoff))
 
 
 def degree_power_floor(g: Graph, k: int) -> int:
@@ -72,17 +56,6 @@ def gap_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
         if k <= cutoff and gaps[k - 1] != 0:
             raise InternalConsistencyError(f"gap at index {k} is {gaps[k - 1]}, expected 0")
     return gaps
-
-
-def lex_compare(s: TraceSequence, t: TraceSequence) -> LexVerdict:
-    if s.kind != t.kind:
-        raise ValueError(f"kind mismatch: {s.kind} vs {t.kind}")
-    if s.cutoff != t.cutoff:
-        raise ValueError(f"cutoff mismatch: {s.cutoff} vs {t.cutoff}")
-    for i, (a, b) in enumerate(zip(s.values, t.values), start=1):
-        if a != b:
-            return LexVerdict(LESS if a < b else GREATER, i)
-    return LexVerdict(EQUAL, None)
 
 
 def select_lex_minima(

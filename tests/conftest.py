@@ -2,7 +2,9 @@
 
 Everything here recomputes an answer from first principles (subset scans,
 permutation orbits, Burnside sums) so the package's optimized routines are
-checked against independent arithmetic, not against themselves.
+checked against independent arithmetic, not against themselves. The
+exception is `are_isomorphic`, a helper that compares canonical forms; the
+canonical form itself is checked against brute force in test_enumeration.
 """
 from itertools import combinations, permutations
 from math import factorial
@@ -10,7 +12,7 @@ from math import factorial
 import pytest
 
 from treeopt.graphs import Graph, to_graph6
-from treeopt.enumeration import enumerate_by_edges
+from treeopt.enumeration import canonical_form, enumerate_by_edges
 
 
 def all_pairs(n):
@@ -31,7 +33,7 @@ def brute_cycle_count(g: Graph, length: int) -> int:
             if perm and perm[0] > perm[-1]:
                 continue
             seq = (vs[0],) + perm
-            if all(g.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length)):
+            if all(g.rows[seq[i]] >> seq[(i + 1) % length] & 1 for i in range(length)):
                 count += 1
     return count
 
@@ -59,13 +61,13 @@ def brute_spanning_trees(g: Graph) -> int:
 
 def brute_triangles(g: Graph) -> int:
     return sum(1 for a, b, c in combinations(range(g.n), 3)
-               if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c))
+               if g.rows[a] >> b & 1 and g.rows[a] >> c & 1 and g.rows[b] >> c & 1)
 
 
 def brute_induced_p3(g: Graph) -> int:
     count = 0
     for trip in combinations(range(g.n), 3):
-        edges = sum(g.has_edge(u, v) for u, v in combinations(trip, 2))
+        edges = sum(g.rows[u] >> v & 1 for u, v in combinations(trip, 2))
         if edges == 2:
             count += 1
     return count
@@ -118,6 +120,10 @@ def labeled_regular_count(n: int, d: int) -> int:
         if all(x == d for x in deg):
             count += 1
     return count
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
 
 
 def aut_size(g: Graph) -> int:

@@ -8,7 +8,6 @@ from treeopt.bounds import (
     CERTIFIED_BY_CYCLE_COUNTS,
     CERTIFIED_UNIQUE,
     INCONCLUSIVE,
-    FamilyTreeCount,
     abrego_feasibility,
     base_bound,
     f_of,
@@ -17,7 +16,7 @@ from treeopt.bounds import (
     improved_bound,
     n0_threshold,
 )
-from treeopt.enumeration import enumerate_regular
+from treeopt.enumeration import canonical_relabel, enumerate_regular
 from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
     Graph,
@@ -117,10 +116,9 @@ def test_family_tree_count_agreement():
         (empty_graph(2), 1, 2, 2),
     ]
     for g0, d, p, q in checks:
-        fam = family_tree_count(g0, d, p, q)
-        assert fam.agree, (g0, d, p, q)
-        assert fam.value == fam.direct
-        assert fam.value == spanning_tree_count(complement(extend_g0(g0, d, p, q)))
+        # the two routes inside must agree, or it raises
+        t = family_tree_count(g0, d, p, q)
+        assert t == spanning_tree_count(complement(extend_g0(g0, d, p, q))), (g0, d, p, q)
 
 
 def test_family_tree_count_checks_degrees():
@@ -128,11 +126,12 @@ def test_family_tree_count_checks_degrees():
         family_tree_count(path_graph(4), 3, 1, 0)
 
 
-def test_family_value_raises_on_disagreement():
-    fam = FamilyTreeCount(direct=3, via_polynomial=4)
-    assert not fam.agree
-    with pytest.raises(InternalConsistencyError):
-        fam.value
+def test_family_value_raises_on_disagreement(monkeypatch):
+    # break the matrix-tree route by one: the product formula must catch it
+    direct = bounds.spanning_tree_count
+    monkeypatch.setattr(bounds, "spanning_tree_count", lambda g: direct(g) + 1)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        family_tree_count(cycle_graph(4), 2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,8 @@ def test_girth_certificate_membership():
 
 
 def test_girth_certificate_acyclic_tie():
-    forests = [path_graph(4), disjoint_union(path_graph(3), empty_graph(1))]
+    forests = [canonical_relabel(path_graph(4)),
+               canonical_relabel(disjoint_union(path_graph(3), empty_graph(1)))]
     assert girth_certificate(forests[0], forests) == INCONCLUSIVE
 
 
@@ -195,7 +195,6 @@ def test_girth_certificate_canonicalizes_the_candidate_once(monkeypatch):
     calls = []
     relabel = bounds.canonical_relabel
     monkeypatch.setattr(bounds, "canonical_relabel", lambda g: calls.append(g) or relabel(g))
-    monkeypatch.setattr(bounds, "canonical_form", lambda g: pytest.fail("pool canonicalized"))
     petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                                 + [(i, i + 5) for i in range(5)])
@@ -204,15 +203,18 @@ def test_girth_certificate_canonicalizes_the_candidate_once(monkeypatch):
 
 
 def test_girth_certificate_on_members_in_other_labelings():
-    # a pool that did not come from an enumerator is matched by canonical form
+    # members must be canonical representatives: a relabeled pool is refused,
+    # not matched by canonical form
     rnd = random.Random(8)
     members = []
     for g in enumerate_regular(8, 3):
         perm = list(range(8))
         rnd.shuffle(perm)
         members.append(g.relabel(perm))
-    assert girth_certificate(h_family(8), members) == CERTIFIED_BY_CYCLE_COUNTS
-    with pytest.raises(ValueError):
+    assert canonical_relabel(h_family(8)) not in members
+    with pytest.raises(ValueError, match="must be canonical"):
+        girth_certificate(h_family(8), members)
+    with pytest.raises(ValueError, match="must be canonical"):
         girth_certificate(complete_bipartite(4, 4), members)
 
 
@@ -236,7 +238,7 @@ def test_girth_shortcuts_agree_with_exhaustive_minima():
             dual = classes[n - 1 - d]
             for kind, sequence in (("adjacency", adjacency_sequence),
                                    ("laplacian", laplacian_sequence)):
-                values = [sequence(g, n).values for g in members]
+                values = [sequence(g, n) for g in members]
                 least = [g for g, v in zip(members, values) if v == min(values)]
                 for g in members:
                     probe, pool = (g, members) if kind == "adjacency" else (complement(g), dual)

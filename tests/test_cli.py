@@ -3,7 +3,7 @@ import json
 import pytest
 
 from treeopt.cli import main
-from treeopt.enumeration import are_isomorphic, canonical_form
+from treeopt.enumeration import canonical_form
 from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
     complete_bipartite,
@@ -14,6 +14,8 @@ from treeopt.graphs import (
     h_family,
     to_graph6,
 )
+
+from conftest import are_isomorphic
 
 g6_k33 = to_graph6(complete_bipartite(3, 3))
 g6_c6 = to_graph6(cycle_graph(6))
@@ -76,6 +78,10 @@ def test_verify_usage_errors(capsys):
 def test_bad_graph6_is_usage_error(capsys):
     assert main(["count", "--g6", "B!"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a non-ASCII character is refused, not decoded as the graph6 byte '?'
+    assert main(["count", "--g6", "B\u00e9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "byte offset 1" in captured.err
 
 
 def test_caps_refusal(capsys):
@@ -179,16 +185,6 @@ def test_enumerate_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert main(["enumerate", "--class", "s", "--n", "5", "--m", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: output path {out} is a directory\n"
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
-
-
-def test_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv("TREEOPT_WORKERS", "2")
-    assert main(["count", "--g6", g6_k33]) == 0
-    monkeypatch.setenv("TREEOPT_WORKERS", "0")
-    assert main(["count", "--g6", g6_k33]) == 2
-    monkeypatch.setenv("TREEOPT_WORKERS", "many")
-    assert main(["count", "--g6", g6_k33]) == 2
-    capsys.readouterr()
 
 
 def test_workers_flag_validation(capsys):

@@ -29,7 +29,6 @@ from treeopt.enumeration import (
     GraphClassSpec,
     _class_tasks,
     _erdos_gallai,
-    are_isomorphic,
     canonical_form,
     canonical_relabel,
     enumerate_almost_regular,
@@ -43,6 +42,7 @@ from treeopt.enumeration import (
 )
 
 from conftest import (
+    are_isomorphic,
     aut_size,
     burnside_counts,
     graph_from_mask,
@@ -254,7 +254,7 @@ def _twin_kinds(g):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if (g.rows[u] ^ g.rows[v]) & ~(1 << u | 1 << v) == 0:
-                kinds.add("adjacent" if g.has_edge(u, v) else "non-adjacent")
+                kinds.add("adjacent" if g.rows[u] >> v & 1 else "non-adjacent")
     return kinds
 
 

@@ -21,7 +21,6 @@ from treeopt.sequences import (
     degree_power_floor,
     gap_sequence,
     laplacian_sequence,
-    lex_compare,
     mixed_trace_identity_check,
     select_lex_minima,
 )
@@ -49,21 +48,21 @@ two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
 
 
 def test_frozen_third_traces():
-    assert laplacian_sequence(cycle_graph(6), 3).values[2] == 120
-    assert laplacian_sequence(two_c3, 3).values[2] == 108
-    assert laplacian_sequence(prism(), 3).values[2] == 312
-    assert laplacian_sequence(complete_bipartite(3, 3), 3).values[2] == 324
-    assert adjacency_sequence(cycle_graph(6), 3).values[2] == 0
-    assert adjacency_sequence(two_c3, 3).values[2] == 12
+    assert laplacian_sequence(cycle_graph(6), 3)[2] == 120
+    assert laplacian_sequence(two_c3, 3)[2] == 108
+    assert laplacian_sequence(prism(), 3)[2] == 312
+    assert laplacian_sequence(complete_bipartite(3, 3), 3)[2] == 324
+    assert adjacency_sequence(cycle_graph(6), 3)[2] == 0
+    assert adjacency_sequence(two_c3, 3)[2] == 12
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 6), st.integers(0, (1 << 15) - 1), st.integers(1, 5))
 def test_traces_match_naive_matrix_power(n, mask, k):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
-    assert (laplacian_sequence(g, k).values[k - 1]
+    assert (laplacian_sequence(g, k)[k - 1]
             == naive_trace_power([list(r) for r in laplacian(g).rows], k))
-    assert (adjacency_sequence(g, k).values[k - 1]
+    assert (adjacency_sequence(g, k)[k - 1]
             == naive_trace_power([list(r) for r in adjacency_matrix(g).rows], k))
 
 
@@ -86,19 +85,6 @@ def test_degree_power_floor():
     g = path_graph(3)  # degrees 1, 2, 1
     assert degree_power_floor(g, 1) == 4
     assert degree_power_floor(g, 3) == 2 * 4 + 2 * 9
-
-
-def test_lex_compare():
-    c6 = adjacency_sequence(cycle_graph(6), 6)
-    cc = adjacency_sequence(two_c3, 6)
-    v = lex_compare(c6, cc)
-    assert v.relation == "LESS" and v.divergence_index == 3
-    assert lex_compare(c6, c6).relation == "EQUAL"
-    assert lex_compare(c6, c6).divergence_index is None
-    with pytest.raises(ValueError):
-        lex_compare(c6, laplacian_sequence(cycle_graph(6), 6))
-    with pytest.raises(ValueError):
-        lex_compare(c6, adjacency_sequence(cycle_graph(6), 5))
 
 
 def test_select_lex_minima_adjacency():
@@ -134,20 +120,22 @@ def test_select_lex_minima_validation():
 
 
 def _reference_lex_minima(pool, kind):
-    """Full sequences for every member, each compared with the overall least."""
+    """Full sequences for every member, each compared with the overall least
+    at the first index where the two differ."""
     sequence = adjacency_sequence if kind == ADJACENCY else laplacian_sequence
     seqs = [sequence(g, g.n) for g in pool]
-    least = min(seqs, key=lambda s: s.values)
+    least = min(seqs)
     minima, records = [], []
     for g, seq in zip(pool, seqs):
-        verdict = lex_compare(seq, least)
-        assert verdict.relation != "LESS"
-        k = verdict.divergence_index
+        k = next((i for i, (a, b) in enumerate(zip(seq, least), start=1) if a != b), None)
         if k is None:
             minima.append(g)
-        records.append({"relation": verdict.relation, "divergence_index": k,
-                        "value": None if k is None else seq.values[k - 1],
-                        "minimum_value": None if k is None else least.values[k - 1]})
+            records.append({"relation": "EQUAL", "divergence_index": None,
+                            "value": None, "minimum_value": None})
+        else:
+            assert seq[k - 1] > least[k - 1]
+            records.append({"relation": "GREATER", "divergence_index": k,
+                            "value": seq[k - 1], "minimum_value": least[k - 1]})
     return minima, records
 
 
@@ -175,9 +163,3 @@ def test_mixed_trace_identity_regular():
 def test_mixed_trace_requires_regular():
     with pytest.raises(ValueError):
         mixed_trace_identity_check(path_graph(3), 2, 1)
-
-
-def test_sequence_kind_tags():
-    assert adjacency_sequence(complete_graph(3), 2).kind == ADJACENCY
-    assert laplacian_sequence(complete_graph(3), 2).kind == LAPLACIAN
-    assert laplacian_sequence(complete_graph(3), 4).cutoff == 4

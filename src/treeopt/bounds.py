@@ -8,8 +8,7 @@ detection is structural (union of complete graphs), never a float test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .enumeration import canonical_relabel
@@ -43,14 +42,9 @@ def f_of(degrees: Sequence[int], x: float) -> float:
     return math.exp(math.fsum(terms))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    bound_value: float
-    exact_t: int
-    slack: float
-    equality_flag: bool  # structural: complement of a clique union attains the bound
-    c_used: int
-    connected_complement: bool
+# equality_flag is structural: the complement of a clique union attains the bound
+BoundReport = namedtuple("BoundReport", "bound_value exact_t slack equality_flag c_used "
+                                        "connected_complement")
 
 
 def _bound_report(g: Graph, gap_terms: list[float], c_used: int) -> BoundReport:
@@ -95,6 +89,7 @@ def family_tree_count(g0: Graph, d: int, p: int, q: int) -> int:
     """t(complement(g0 + p K_{d+1} + q K_d)) along two independent routes:
     matrix-tree on the complement, and the exact rational product formula
     over g0's Laplacian polynomial. They must agree."""
+    from fractions import Fraction  # imported here: the CLI never needs it
     big = extend_g0(g0, d, p, q)  # validates the degree precondition
     np_ = big.n
     direct = spanning_tree_count(complement(big))
@@ -126,6 +121,7 @@ def abrego_feasibility(n: int, delta: int, tau_value: int) -> tuple[Fraction, bo
         raise ValueError("delta must be at least 3")
     if tau_value < 0:
         raise ValueError("tau_value must be nonnegative")
+    from fractions import Fraction
     rho = n % (delta + 1)
     rhs = Fraction(rho * ((delta + 1) ** 2 - rho ** 2), 4) + Fraction(3, 2) * tau_value
     return rhs, n <= rhs

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .bounds import INCONCLUSIVE, girth_certificate
 from .enumeration import (
@@ -63,14 +62,12 @@ def class_spec_payload(spec: GraphClassSpec) -> dict:
     return {k: str(v) for k, v in spec.to_dict().items()}
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One losing comparison: who beat the candidate, where, by what values."""
+class Witness(namedtuple("Witness", "opponent divergence_index opponent_value "
+                                   "candidate_value")):
+    """One losing comparison: who beat the candidate (canonical graph6), where
+    (the 1-based sequence index, None for scalar comparisons), by what values."""
 
-    opponent: str  # canonical graph6
-    divergence_index: Optional[int]  # 1-based sequence index, None for scalar comparisons
-    opponent_value: str
-    candidate_value: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -82,8 +79,8 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "command class_spec candidate verdict winners "
+                                           "witnesses method class_size elapsed_ms extra")):
     """Verdict plus the evidence needed to audit it.
 
     Every verdict is decisive: winners is nonempty except in the vacuous
@@ -92,22 +89,22 @@ class Certificate:
     deliberately not a field: payloads must not vary with parallelism.
     """
 
-    command: str
-    class_spec: GraphClassSpec
-    candidate: Optional[str]
-    verdict: str
-    winners: tuple[str, ...]
-    witnesses: tuple[Witness, ...]
-    method: str
-    class_size: int
-    elapsed_ms: int
-    extra: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.verdict == REFUTED and not self.witnesses:
+    def __new__(cls, command: str, class_spec: GraphClassSpec, candidate: str | None,
+                verdict: str, winners: tuple[str, ...], witnesses: tuple[Witness, ...],
+                method: str, class_size: int, elapsed_ms: int, extra: dict | None = None):
+        if verdict == REFUTED and not witnesses:
             raise InternalConsistencyError("REFUTED certificate without a witness")
-        if self.class_size > 0 and not self.winners:
+        if class_size > 0 and not winners:
             raise InternalConsistencyError("decisive certificate with empty winners")
+        return super().__new__(cls, command, class_spec, candidate, verdict, winners,
+                               witnesses, method, class_size, elapsed_ms,
+                               {} if extra is None else extra)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         out = {

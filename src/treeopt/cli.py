@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from .bounds import improved_bound, n0_threshold
 from .certify import (
@@ -45,9 +44,10 @@ EXIT_INTERRUPTED = 130
 
 
 def _workers(ns) -> int:
-    """--workers, else every core."""
+    """--workers, else every core this process may run on."""
     if ns.workers is None:
-        return os.cpu_count() or 1
+        usable = getattr(os, "sched_getaffinity", None)  # Linux; absent on macOS and Windows
+        return len(usable(0)) if usable else (os.cpu_count() or 1)
     if ns.workers < 1:
         raise ValueError("--workers must be positive")
     return ns.workers
@@ -193,16 +193,20 @@ def _run_report(ns, workers):
 
 
 def _run_threshold(ns, workers):
-    value = n0_threshold(ns.g0_order, ns.d, ns.c)
+    n0 = n0_threshold(ns.g0_order, ns.d, ns.c)
+    try:
+        value = str(n0)
+    except ValueError:  # more digits than the interpreter converts to a string
+        raise ValueError(f"n0 is too large to print for --c {ns.c}") from None
     return _plain({"command": "threshold", "g0_order": str(ns.g0_order),
-                   "d": str(ns.d), "c": str(ns.c), "n0": str(value)},
+                   "d": str(ns.d), "c": str(ns.c), "n0": value},
                   f"n0 = {value}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: all cores)")
+                        help="worker processes (default: the cores this process may use)")
     common.add_argument("--format", choices=["text", "structured"], default="text")
     common.add_argument("--caps-override", action="store_true",
                         help="raise the enumeration size caps one notch")
@@ -303,6 +307,7 @@ def main(argv=None) -> int:
               else "interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception:
+        import traceback  # only a fault that no other branch names reaches here
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-import signal
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapsExceededError, UnsupportedSizeError
@@ -48,12 +47,10 @@ _EDGES_OVERRIDE_N = 9
 Row = Callable[[Graph], object]  # a member's sortable, picklable row
 
 
-@dataclass(frozen=True)
-class GraphClassSpec:
-    kind: str  # "regular" or "edges"
-    n: int
-    d: int | None = None
-    m: int | None = None
+class GraphClassSpec(namedtuple("GraphClassSpec", "kind n d m", defaults=(None, None))):
+    """kind "regular" with degree d, or "edges" with edge count m, on n vertices."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "n": self.n}
@@ -455,6 +452,7 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
         yield from map(work, tasks)
     else:
         import multiprocessing  # a tenth of the CLI's import time, unused at one worker
+        import signal
 
         # about four chunks a worker: a round trip per task costs more than
         # the smallest tasks take

@@ -8,7 +8,7 @@ which is exactly the n <= 62 range supported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import Graph6Error, UnsupportedSizeError
@@ -296,10 +296,8 @@ def h_family(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # structure counters
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    is_regular: bool
-    is_almost_regular: bool  # degrees take at most two values, and those differ by 1
+# is_almost_regular: degrees take at most two values, and those differ by 1
+DegreeInfo = namedtuple("DegreeInfo", "is_regular is_almost_regular")
 
 
 def degree_info(g: Graph) -> DegreeInfo:

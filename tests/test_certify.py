@@ -1,4 +1,5 @@
 import json
+import pickle
 import sys
 
 import pytest
@@ -176,6 +177,31 @@ def test_invariant_checks_reject_bad_certificates():
         Certificate("verify-trace-min", spec, "x", REFUTED, ("y",), (), EXHAUSTIVE, 2, 0)
     with pytest.raises(InternalConsistencyError):  # decisive without winners
         Certificate("verify-trace-min", spec, "x", VERIFIED, (), (), EXHAUSTIVE, 2, 0)
+
+
+def test_certificate_is_an_immutable_record():
+    spec = GraphClassSpec("regular", 6, d=2)
+    a, b = (Certificate("duality", spec, None, VERIFIED, ("x",), (), EXHAUSTIVE, 1, 0)
+            for _ in range(2))
+    a.extra["note"] = "only a's"
+    assert b.extra == {}  # each certificate gets its own empty dict
+    with pytest.raises(AttributeError):
+        a.verdict = REFUTED
+    with pytest.raises(AttributeError):
+        a.workers = 2
+
+
+def test_certificate_pickles_and_keeps_its_checks():
+    cert = cmd_verify_trace_minimal(two_c3, 6, 2)
+    assert cert.verdict == REFUTED and cert.witnesses
+    twin = pickle.loads(pickle.dumps(cert))
+    assert type(twin) is Certificate and twin == cert
+    assert twin.to_json() == cert.to_json() and twin.render_text() == cert.render_text()
+    with pytest.raises(InternalConsistencyError):
+        twin._replace(witnesses=())
+    unchecked = tuple.__new__(Certificate, (*twin[:5], (), *twin[6:]))  # skips the checks
+    with pytest.raises(InternalConsistencyError):  # unpickling runs them
+        pickle.loads(pickle.dumps(unchecked))
 
 
 def test_witness_serialization():

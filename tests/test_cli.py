@@ -1,7 +1,10 @@
 import json
+import multiprocessing
+import sys
 
 import pytest
 
+from treeopt import cli
 from treeopt.cli import main
 from treeopt.enumeration import canonical_form
 from treeopt.errors import InternalConsistencyError
@@ -192,6 +195,31 @@ def test_workers_flag_validation(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_default_workers_are_the_usable_cores(monkeypatch):
+    unset = cli._build_parser().parse_args(["count", "--g6", g6_k33])
+    assert unset.workers is None
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli._workers(unset) == 1  # pinned to one core, as under `taskset -c 3`
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._workers(unset) == 8  # no affinity call: every core
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._workers(unset) == 1  # core count unknown
+
+
+def test_run_pinned_to_one_core_starts_no_pool(monkeypatch, capsys):
+    from treeopt.enumeration import GraphClassSpec, _class_tasks
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    assert len(_class_tasks(GraphClassSpec("edges", 6, m=9))) > 1  # two workers would fork
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert main(["report", "--n", "6", "--m", "9"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_construct_h(capsys):
     assert main(["construct", "h", "--n", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -223,6 +251,18 @@ def test_construct_usage_error(capsys):
 def test_threshold(capsys):
     assert main(["threshold", "--g0-order", "5", "--d", "4", "--c", "1"]) == 0
     assert capsys.readouterr().out == "n0 = 2568\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-to-str digits in this interpreter")
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_threshold_too_large_to_print_is_usage_error(capsys, fmt):
+    # n0 = 2 + 2 * 2**100002 has about 30,000 digits, past the default limit of 4,300
+    args = ["threshold", "--g0-order", "2", "--d", "1", "--c", "100000", "--format", fmt]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n0 is too large to print for --c 100000\n"
 
 
 def test_duality_structured(capsys):

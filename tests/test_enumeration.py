@@ -433,6 +433,19 @@ def test_stream_metadata():
     assert GraphClassSpec("regular", 6, d=2).to_dict() == {"kind": "regular", "n": 6, "d": 2}
 
 
+def test_class_spec_is_a_hashable_immutable_record():
+    spec = GraphClassSpec("edges", 8, m=12)
+    assert spec.kind == "edges" and spec.n == 8 and spec.d is None and spec.m == 12
+    assert hash(spec) == hash(GraphClassSpec("edges", 8, None, 12))
+    assert {spec: "S(8,12)"}[GraphClassSpec("edges", 8, m=12)] == "S(8,12)"
+    assert spec.to_dict() == {"kind": "edges", "n": 8, "m": 12}
+    assert spec.warning is None
+    with pytest.raises(AttributeError):
+        spec.m = 14
+    with pytest.raises(AttributeError):
+        spec.note = "no new fields"
+
+
 def test_validation_and_caps():
     with pytest.raises(ValueError):
         enumerate_regular(4, 4)

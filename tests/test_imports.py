@@ -4,8 +4,12 @@ and every public name is read by the package or listed as library API.
 No linter is a dependency, so these are the unused-import and dead-name
 checks, on the standard library's `ast`. The import and public-name checks
 skip `__init__.py`: its imports are the package's exports, not uses.
+The last test checks that importing the CLI loads no standard-library
+module that only some runs need.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeopt"
@@ -142,3 +146,18 @@ def test_no_unread_public_names():
                if p.name != "__init__.py"}
     assert sources
     assert unread_public_names(sources, LIBRARY_API) == []
+
+
+# Standard-library modules that `import treeopt.cli` must not load: record
+# types are namedtuples, and the rest is imported where it is used.
+UNUSED_BY_IMPORT = {"dataclasses", "inspect", "fractions", "traceback", "multiprocessing"}
+
+
+def test_cli_import_loads_no_unused_stdlib_module():
+    # -S: no site hooks, whose .pth files may load some of these themselves
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import treeopt.cli; "
+            "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent),
+                          *sorted(UNUSED_BY_IMPORT)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

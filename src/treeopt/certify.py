@@ -2,10 +2,10 @@
 
 Each command enumerates a finite class, decides a verdict, and packages
 the evidence (winners, divergence witnesses, method) so a run can be
-replayed or diffed. Every structured payload is written by `payload_json`:
-a single JSON object with every integer rendered as a decimal string,
-byte-identical across worker counts apart from the elapsed and tool_version
-fields.
+replayed or diffed. Payloads are built from native values and written by
+`payload_json` alone: a single JSON object in which every number, integer
+or float, is a decimal string, byte-identical across worker counts apart
+from the elapsed and tool_version fields.
 """
 from __future__ import annotations
 
@@ -51,32 +51,28 @@ H_FAMILY_NOTE = ("h-family uniqueness is a large-n threshold claim; at this "
                  "size the exhaustive table is evidence, not the claim itself")
 
 
+def _decimal_strings(v):
+    """v with every int and float (not bool) as its decimal string and every
+    tuple as a list; strings, bools and None stay as they are."""
+    if isinstance(v, dict):
+        return {k: _decimal_strings(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_decimal_strings(x) for x in v]
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return v
+    return repr(v)
+
+
 def payload_json(payload: dict) -> str:
-    """A payload stamped with the schema and tool versions, as indented JSON."""
+    """A payload stamped with the schema and tool versions, as indented JSON
+    with every number written as a decimal string."""
     stamped = {**payload, "schema_version": SCHEMA_VERSION, "tool_version": TOOL_VERSION}
-    return json.dumps(stamped, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_decimal_strings(stamped), indent=2, sort_keys=True) + "\n"
 
 
-def class_spec_payload(spec: GraphClassSpec) -> dict:
-    """The class spec as payloads carry it, every value a string."""
-    return {k: str(v) for k, v in spec.to_dict().items()}
-
-
-class Witness(namedtuple("Witness", "opponent divergence_index opponent_value "
-                                   "candidate_value")):
-    """One losing comparison: who beat the candidate (canonical graph6), where
-    (the 1-based sequence index, None for scalar comparisons), by what values."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "opponent": self.opponent,
-            "divergence_index": None if self.divergence_index is None
-            else str(self.divergence_index),
-            "opponent_value": self.opponent_value,
-            "candidate_value": self.candidate_value,
-        }
+# One losing comparison: who beat the candidate (canonical graph6), where (the
+# 1-based sequence index, None for scalar comparisons), by what values.
+Witness = namedtuple("Witness", "opponent divergence_index opponent_value candidate_value")
 
 
 class Certificate(namedtuple("Certificate", "command class_spec candidate verdict winners "
@@ -107,19 +103,9 @@ class Certificate(namedtuple("Certificate", "command class_spec candidate verdic
         return cls(*iterable)
 
     def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "class_spec": class_spec_payload(self.class_spec),
-            "candidate": self.candidate,
-            "verdict": self.verdict,
-            "winners": list(self.winners),
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "method": self.method,
-            "class_size": str(self.class_size),
-            "elapsed_ms": str(self.elapsed_ms),
-        }
-        for k, v in sorted(self.extra.items()):
-            out[k] = v
+        out = {**self._asdict(), "class_spec": self.class_spec.to_dict(),
+               "witnesses": [w._asdict() for w in self.witnesses], **self.extra}
+        del out["extra"]
         return out
 
     def to_json(self) -> str:
@@ -227,7 +213,7 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     winners = tuple(sorted(to_graph6(g) for g in minima))
     rec = records[idx]
     witnesses = () if rec["relation"] == EQUAL else tuple(
-        Witness(w, rec["divergence_index"], str(rec["minimum_value"]), str(rec["value"]))
+        Witness(w, rec["divergence_index"], rec["minimum_value"], rec["value"])
         for w in winners)
     return Certificate(
         command, spec, cand_form, REFUTED if witnesses else VERIFIED, winners, witnesses,
@@ -260,14 +246,14 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int, *,
     tmax = ranked[0][2]
     winners = tuple(form for _, form, t in ranked if t == tmax)
     extra = {
-        "candidate_t": str(cand_t),
-        "max_t": str(tmax),
+        "candidate_t": cand_t,
+        "max_t": tmax,
         "unique": len(winners) == 1,
     }
     if cand_form == h_form:
         extra["note"] = H_FAMILY_NOTE
     witnesses = () if cand_t == tmax else tuple(
-        Witness(w, None, str(tmax), str(cand_t)) for w in winners)
+        Witness(w, None, tmax, cand_t) for w in winners)
     return Certificate(
         "verify-t-optimal", GraphClassSpec("edges", n, m=m), cand_form,
         REFUTED if witnesses else VERIFIED, winners, witnesses, EXHAUSTIVE, len(ranked),
@@ -293,7 +279,7 @@ def cmd_check_duality(n: int, d: int, *, caps_override: bool = False,
     lset = sorted(to_graph6(g) for g in lmin)
     image = sorted(canonical_form(complement(g)) for g in amin)
     witnesses = tuple(
-        Witness(f, None, "1" if f in lset else "0", "1" if f in image else "0")
+        Witness(f, None, int(f in lset), int(f in image))
         for f in sorted(set(lset) ^ set(image)))
     return Certificate(
         "duality", spec, None, REFUTED if witnesses else VERIFIED, tuple(lset), witnesses,
@@ -307,11 +293,11 @@ def construct_summary(g: Graph) -> dict:
     gir = girth(g)
     return {
         "graph6": to_graph6(g),
-        "n": str(g.n),
-        "m": str(g.m),
-        "degree_min": str(min(degs)),
-        "degree_max": str(max(degs)),
-        "girth": "infinite" if gir == math.inf else str(gir),
+        "n": g.n,
+        "m": g.m,
+        "degree_min": min(degs),
+        "degree_max": max(degs),
+        "girth": "infinite" if gir == math.inf else gir,
     }
 
 
@@ -331,24 +317,24 @@ def cmd_report_class(n: int, m: int, *, caps_override: bool = False,
         if form == h_form:
             h_rank = rank
         rows.append({
-            "rank": str(rank),
+            "rank": rank,
             "graph6": form,
-            "t": str(t),
+            "t": t,
             "regular": regular,
             "almost_regular": almost_regular,
-            "nu": str(nu),
-            "tau": str(tau),
+            "nu": nu,
+            "tau": tau,
             "is_h_family": form == h_form,
         })
     report = {
         "command": "report",
-        "class_spec": class_spec_payload(GraphClassSpec("edges", n, m=m)),
-        "class_size": str(len(ranked)),
+        "class_spec": GraphClassSpec("edges", n, m=m).to_dict(),
+        "class_size": len(ranked),
         "rows": rows,
-        "elapsed_ms": str(_elapsed_ms(t0)),
+        "elapsed_ms": _elapsed_ms(t0),
     }
     if h_form is not None:
-        report["h_family_rank"] = None if h_rank is None else str(h_rank)
+        report["h_family_rank"] = h_rank
         report["note"] = H_FAMILY_NOTE
     return report
 

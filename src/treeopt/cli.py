@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 verified/success, 1 refuted, 2 usage error, 3 caps refusal,
-4 internal-consistency fault, 130 interrupted (Ctrl-C; a spool run leaves its
-checkpoint, and the same command resumes from it).
+Exit codes: 0 verified/success, 1 refuted, 2 usage error (bad input, or an
+output path the system refuses), 3 caps refusal, 4 internal-consistency
+fault, 130 interrupted (Ctrl-C; a spool run leaves its checkpoint, and the
+same command resumes from it).
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import sys
 from .bounds import improved_bound, n0_threshold
 from .certify import (
     VERIFIED,
-    class_spec_payload,
     cmd_check_duality,
     cmd_report_class,
     cmd_verify_l_trace_minimal,
@@ -68,8 +68,7 @@ def _certificate(cert):
 def _run_count(ns, workers):
     g = from_graph6(ns.g6)
     t = spanning_tree_count(g)
-    return _plain({"command": "count", "graph6": ns.g6, "n": str(g.n),
-                   "m": str(g.m), "t": str(t)},
+    return _plain({"command": "count", "graph6": ns.g6, "n": g.n, "m": g.m, "t": t},
                   f"t = {t}\n")
 
 
@@ -80,7 +79,7 @@ def _run_seq(ns, workers):
     seq = (laplacian_sequence if ns.kind == "lap" else adjacency_sequence)(g, ns.k)
     vals = " ".join(str(v) for v in seq)
     return _plain({"command": "seq", "kind": ns.kind, "graph6": ns.g6,
-                   "k": str(ns.k), "values": [str(v) for v in seq]},
+                   "k": ns.k, "values": seq},
                   f"{ns.kind} traces k=1..{ns.k}: {vals}\n")
 
 
@@ -90,8 +89,7 @@ def _run_gaps(ns, workers):
         raise ValueError("--k must be at least 1")
     gaps = gap_sequence(g, ns.k)
     vals = " ".join(str(v) for v in gaps)
-    return _plain({"command": "gaps", "graph6": ns.g6, "k": str(ns.k),
-                   "values": [str(v) for v in gaps]},
+    return _plain({"command": "gaps", "graph6": ns.g6, "k": ns.k, "values": gaps},
                   f"gaps k=1..{ns.k}: {vals}\n")
 
 
@@ -149,15 +147,15 @@ def _run_enumerate(ns, workers):
         if ns.m is None:
             raise ValueError("--class s needs --m")
         spec = GraphClassSpec("edges", ns.n, m=ns.m)
-    payload = {"command": "enumerate", "class_spec": class_spec_payload(spec)}
+    payload = {"command": "enumerate", "class_spec": spec.to_dict()}
     if ns.out:
         count = spool_class(spec, ns.out, caps_override=ns.caps_override, workers=workers)
-        payload.update(out=ns.out, count=str(count))
+        payload.update(out=ns.out, count=count)
         text = f"{count} classes written to {ns.out}\n"
     else:
-        members = enumerate_class(spec, caps_override=ns.caps_override, workers=workers)
-        forms = [to_graph6(g) for g in members]
-        payload.update(count=str(len(forms)), graphs=forms)
+        forms = enumerate_class(spec, caps_override=ns.caps_override, workers=workers,
+                                row=to_graph6)
+        payload.update(count=len(forms), graphs=forms)
         text = "".join(f"{f}\n" for f in forms)
     if spec.warning:
         payload["warning"] = spec.warning
@@ -169,16 +167,7 @@ def _run_enumerate(ns, workers):
 def _run_bound(ns, workers):
     g = from_graph6(ns.g6)
     report = improved_bound(g, ns.c)
-    payload = {
-        "command": "bound",
-        "graph6": ns.g6,
-        "c_used": str(report.c_used),
-        "bound_value": repr(report.bound_value),
-        "exact_t": str(report.exact_t),
-        "slack": repr(report.slack),
-        "equality_flag": report.equality_flag,
-        "connected_complement": report.connected_complement,
-    }
+    payload = {"command": "bound", "graph6": ns.g6, **report._asdict()}
     text = (f"bound (c={report.c_used}): {report.bound_value!r}\n"
             f"exact t(complement): {report.exact_t}\n"
             f"slack: {report.slack!r}\n"
@@ -198,8 +187,8 @@ def _run_threshold(ns, workers):
         value = str(n0)
     except ValueError:  # more digits than the interpreter converts to a string
         raise ValueError(f"n0 is too large to print for --c {ns.c}") from None
-    return _plain({"command": "threshold", "g0_order": str(ns.g0_order),
-                   "d": str(ns.d), "c": str(ns.c), "n0": value},
+    return _plain({"command": "threshold", "g0_order": ns.g0_order,
+                   "d": ns.d, "c": ns.c, "n0": value},
                   f"n0 = {value}\n")
 
 
@@ -291,7 +280,7 @@ def main(argv=None) -> int:
         code, structured, text = ns.func(ns, _workers(ns))
         sys.stdout.write(structured() if ns.format == "structured" else text())
         return code
-    except (Graph6Error, ValueError) as e:
+    except (Graph6Error, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CapsExceededError as e:

@@ -616,14 +616,17 @@ def spool_class(spec: GraphClassSpec, path: str, *, caps_override: bool = False,
     only runs what is missing. The output goes to `path.tmp`, is synced and
     then renamed onto `path`, and only after that is the checkpoint removed:
     `path` holds either its old bytes or the whole class. Returns the class
-    size. A path in a missing directory, or naming a directory, raises
-    ValueError before any work.
+    size. A path in a missing directory, or naming a directory or any other
+    file that is not a regular one (a FIFO, a device), raises ValueError
+    before any work.
     """
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ValueError(f"output directory {folder} does not exist")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"output path {path} is not a regular file")
     tasks = _class_tasks(spec, caps_override=caps_override)
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}

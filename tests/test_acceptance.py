@@ -174,7 +174,7 @@ def test_criterion_08_t_optimality():
     t0 = time.monotonic()
     cert = cmd_verify_t_optimal(complete_bipartite(3, 3), 6, 9)
     assert cert.verdict == VERIFIED
-    assert cert.extra["max_t"] == "81" and cert.extra["unique"] is True
+    assert cert.extra["max_t"] == 81 and cert.extra["unique"] is True
     assert cert.winners == (canonical_form(complete_bipartite(3, 3)),)
 
     members = enumerate_by_edges(4, 3)
@@ -196,7 +196,7 @@ def test_criterion_08_t_optimality():
     scored = sorted((-spanning_tree_count(g), canonical_form(g)) for g in big)
     expected_rank = scored.index((-t_h8, canonical_form(h8))) + 1
     report = reports[0]
-    assert report["h_family_rank"] == str(expected_rank) == "1"
+    assert report["h_family_rank"] == expected_rank == 1
     assert report["rows"][expected_rank - 1]["is_h_family"] is True
     assert time.monotonic() - t0 < 300
 

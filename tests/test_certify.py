@@ -10,7 +10,6 @@ from treeopt.certify import (
     REFUTED,
     VERIFIED,
     Certificate,
-    Witness,
     cmd_check_duality,
     cmd_report_class,
     cmd_verify_l_trace_minimal,
@@ -20,6 +19,7 @@ from treeopt.certify import (
     report_render_text,
     report_to_json,
 )
+from treeopt.cli import main
 from treeopt.enumeration import GraphClassSpec, canonical_form
 from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
@@ -62,7 +62,7 @@ def test_trace_minimal_exhaustive_refuted():
     (w,) = cert.witnesses
     assert w.opponent == canonical_form(cycle_graph(6))
     assert w.divergence_index == 3
-    assert (w.opponent_value, w.candidate_value) == ("0", "12")
+    assert (w.opponent_value, w.candidate_value) == (0, 12)
 
 
 def test_trace_minimal_relabel_invariance():
@@ -101,7 +101,7 @@ def test_ltrace_minimal_exhaustive_refuted():
     assert cert.winners == (canonical_form(two_c3),)
     (w,) = cert.witnesses
     assert w.divergence_index == 3
-    assert (w.opponent_value, w.candidate_value) == ("108", "120")
+    assert (w.opponent_value, w.candidate_value) == (108, 120)
 
 
 def test_t_optimal_verified_unique():
@@ -109,8 +109,8 @@ def test_t_optimal_verified_unique():
     assert cert.verdict == VERIFIED and cert.method == EXHAUSTIVE
     assert cert.winners == (canonical_form(k33),)
     assert cert.class_size == 21
-    assert cert.extra["candidate_t"] == "81"
-    assert cert.extra["max_t"] == "81"
+    assert cert.extra["candidate_t"] == 81
+    assert cert.extra["max_t"] == 81
     assert cert.extra["unique"] is True
     assert "note" not in cert.extra  # 9 edges is not the h-family class
 
@@ -118,18 +118,18 @@ def test_t_optimal_verified_unique():
 def test_t_optimal_refuted():
     cert = cmd_verify_t_optimal(prism, 6, 9)
     assert cert.verdict == REFUTED
-    assert cert.extra["candidate_t"] == "75"
+    assert cert.extra["candidate_t"] == 75
     (w,) = cert.witnesses
     assert w.opponent == canonical_form(k33)
     assert w.divergence_index is None
-    assert (w.opponent_value, w.candidate_value) == ("81", "75")
+    assert (w.opponent_value, w.candidate_value) == (81, 75)
 
 
 def test_t_optimal_h_family_note():
     cert = cmd_verify_t_optimal(h_family(7), 7, 7)
     assert cert.verdict == VERIFIED
     assert cert.class_size == 65
-    assert cert.extra["max_t"] == "7" and cert.extra["unique"] is True
+    assert cert.extra["max_t"] == 7 and cert.extra["unique"] is True
     assert "evidence" in cert.extra["note"]
 
 
@@ -205,41 +205,49 @@ def test_certificate_pickles_and_keeps_its_checks():
 
 
 def test_witness_serialization():
-    w = Witness("Bw", 3, "0", "12")
-    assert w.to_dict() == {"opponent": "Bw", "divergence_index": "3",
-                           "opponent_value": "0", "candidate_value": "12"}
-    assert Witness("Bw", None, "81", "75").to_dict()["divergence_index"] is None
+    (w,) = json.loads(cmd_verify_trace_minimal(two_c3, 6, 2).to_json())["witnesses"]
+    assert w == {"opponent": canonical_form(cycle_graph(6)), "divergence_index": "3",
+                 "opponent_value": "0", "candidate_value": "12"}
+    (w,) = json.loads(cmd_verify_t_optimal(prism, 6, 9).to_json())["witnesses"]
+    assert w["divergence_index"] is None
+    assert (w["opponent_value"], w["candidate_value"]) == ("81", "75")
 
 
 def test_construct_summary_fields():
     s = construct_summary(complete_graph(4))
-    assert s == {"graph6": "C~", "n": "4", "m": "6",
-                 "degree_min": "3", "degree_max": "3", "girth": "3"}
+    assert s == {"graph6": "C~", "n": 4, "m": 6,
+                 "degree_min": 3, "degree_max": 3, "girth": 3}
     assert construct_summary(empty_graph(3))["girth"] == "infinite"
 
 
 def test_report_class_ranking():
     report = cmd_report_class(6, 9)
-    assert report["class_size"] == "21"
+    assert report["class_size"] == 21
     rows = report["rows"]
-    assert [r["rank"] for r in rows] == [str(i) for i in range(1, 22)]
+    assert [r["rank"] for r in rows] == list(range(1, 22))
     ts = [int(r["t"]) for r in rows]
     assert ts == sorted(ts, reverse=True)
     assert rows[0]["graph6"] == canonical_form(k33)
-    assert rows[0]["t"] == "81" and rows[0]["regular"] is True
+    assert rows[0]["t"] == 81 and rows[0]["regular"] is True
     assert "h_family_rank" not in report
 
 
 def test_report_class_h_family():
     report = cmd_report_class(7, 7)
-    assert report["h_family_rank"] == "1"
+    assert report["h_family_rank"] == 1
     marked = [r for r in report["rows"] if r["is_h_family"]]
     assert len(marked) == 1 and marked[0]["graph6"] == canonical_form(h_family(7))
     text = report_render_text(report)
     assert "h-family rank: 1" in text
-    # the writer stamps the versions; the report itself carries none
+    # the writer stamps the versions and writes numbers as decimal strings;
+    # the report itself carries neither
     assert json.loads(report_to_json(report)) == {
-        **report, "schema_version": "2", "tool_version": "0.1.0"}
+        **report, "schema_version": "2", "tool_version": "0.1.0",
+        "class_spec": {"kind": "edges", "n": "7", "m": "7"},
+        "class_size": str(report["class_size"]), "h_family_rank": "1",
+        "elapsed_ms": str(report["elapsed_ms"]),
+        "rows": [{**r, "rank": str(r["rank"]), "t": str(r["t"]), "nu": str(r["nu"]),
+                  "tau": str(r["tau"])} for r in report["rows"]]}
 
 
 def test_report_deterministic_across_workers():
@@ -266,7 +274,15 @@ def test_report_encodes_each_member_once(monkeypatch):
     calls = _count_calls(monkeypatch, to_graph6)
     report = cmd_report_class(8, 12, workers=1)
     # 1,312 members, each encoded once in its task, plus the H family's form
-    assert report["class_size"] == "1312" and len(calls) == 1313
+    assert report["class_size"] == 1312 and len(calls) == 1313
+
+
+def test_enumerate_encodes_each_member_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, to_graph6)
+    assert main(["enumerate", "--class", "s", "--n", "8", "--m", "12", "--workers", "1"]) == 0
+    forms = capsys.readouterr().out.splitlines()
+    # 1,312 members, each encoded once in its task and printed as it came
+    assert len(forms) == 1312 and forms == sorted(forms) and len(calls) == 1312
 
 
 def test_verify_t_optimal_counts_no_triangles(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import multiprocessing
+import os
+import stat
 import sys
 
 import pytest
@@ -190,6 +192,24 @@ def test_enumerate_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_enumerate_out_naming_a_fifo_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "pipe"
+    os.mkfifo(out)
+    assert main(["enumerate", "--class", "s", "--n", "5", "--m", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output path {out} is not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(out).st_mode)
+    assert list(tmp_path.iterdir()) == [out]  # no checkpoint, no temp file
+
+
+def test_enumerate_out_the_system_refuses_is_usage_error(tmp_path, capsys):
+    out = tmp_path / ("x" * 300)  # longer than any file system allows a name
+    assert main(["enumerate", "--class", "r", "--n", "6", "--d", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workers_flag_validation(capsys):
     assert main(["count", "--workers", "0", "--g6", g6_k33]) == 2
     assert "positive" in capsys.readouterr().err
@@ -313,6 +333,14 @@ def test_structured_output_carries_one_stamp(tmp_path, capsys, args):
     assert payload["command"]
     assert payload["schema_version"] == "2"
     assert payload["tool_version"] == "0.1.0"
+    # every number is a decimal string: the leaves are strings, bools and nulls
+    nodes = [payload]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (dict, list)):
+            nodes.extend(node.values() if isinstance(node, dict) else node)
+        else:
+            assert node is None or type(node) in (str, bool), (args, node)
 
 
 def test_help_and_unknown_commands(capsys):

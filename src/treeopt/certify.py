@@ -19,6 +19,7 @@ from .enumeration import (
     GraphClassSpec,
     Row,
     canonical_form,
+    canonical_relabel,
     enumerate_by_edges,
     enumerate_regular,
 )
@@ -145,11 +146,12 @@ def _require_regular(candidate: Graph, n: int, d: int) -> None:
         raise ValueError(f"candidate is not {d}-regular")
 
 
-def _locate(cand_form: str, forms: list[str]) -> int:
-    """The candidate's index among the members' (canonical) graph6 forms."""
-    if cand_form not in forms:
+def _locate(cand, members: list) -> int:
+    """The candidate's index among the members, both canonical: as `Graph`s
+    or as graph6 forms."""
+    if cand not in members:
         raise InternalConsistencyError("candidate missing from its own class")
-    return forms.index(cand_form)
+    return members.index(cand)
 
 
 def _t_row(g: Graph) -> tuple[int, str, int]:
@@ -167,12 +169,12 @@ def _report_row(g: Graph) -> tuple:
     return (*_t_row(g), info.is_regular, info.is_almost_regular, count_induced_p3(g, tau), tau)
 
 
-def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int, row: Row
+def _ranked_by_edges(n: int, m: int, workers: int, row: Row
                      ) -> tuple[list[tuple], str | None]:
     """S_{n,m} as rows made by `row` (`_t_row` or `_report_row`) in the
     workers, one per member, ordered by t descending and then graph6
     ascending, plus the H family's form when m = n(n-5)/2."""
-    ranked = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers, row=row)
+    ranked = enumerate_by_edges(n, m, workers=workers, row=row)
     h_form = None
     if n >= 5 and m == n * (n - 5) // 2:
         h_form = canonical_form(h_family(n))
@@ -180,7 +182,7 @@ def _ranked_by_edges(n: int, m: int, caps_override: bool, workers: int, row: Row
 
 
 def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
-                        caps_override: bool, workers: int) -> Certificate:
+                        workers: int) -> Certificate:
     """Is the candidate's `kind` trace sequence lex-minimal in R_d(n)?
 
     Cheap path first: a girth certificate for the candidate in R_d(n), or,
@@ -194,10 +196,10 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     command = "verify-trace-min" if kind == ADJACENCY else "verify-ltrace-min"
     spec = GraphClassSpec("regular", n, d=d)
     probe, probe_d = (candidate, d) if kind == ADJACENCY else (complement(candidate), n - 1 - d)
-    probe_members = enumerate_regular(n, probe_d, caps_override=caps_override,
-                                      workers=workers)
+    probe_members = enumerate_regular(n, probe_d, workers=workers)
     status = girth_certificate(probe, probe_members)
-    cand_form = canonical_form(candidate)
+    cand = canonical_relabel(candidate)
+    cand_form = to_graph6(cand)
     if status != INCONCLUSIVE:
         extra = {"girth_certificate": status}
         if kind == LAPLACIAN:
@@ -207,8 +209,8 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
             command, spec, cand_form, VERIFIED, (cand_form,), (), GIRTH_CERTIFICATE,
             len(probe_members), _elapsed_ms(t0), extra=extra)
     members = (probe_members if kind == ADJACENCY
-               else enumerate_regular(n, d, caps_override=caps_override, workers=workers))
-    idx = _locate(cand_form, [to_graph6(g) for g in members])
+               else enumerate_regular(n, d, workers=workers))
+    idx = _locate(cand, members)
     minima, records = select_lex_minima(members, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
     rec = records[idx]
@@ -221,26 +223,26 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
 
 
 def cmd_verify_trace_minimal(candidate: Graph, n: int, d: int, *,
-                             caps_override: bool = False, workers: int = 1) -> Certificate:
+                             workers: int = 1) -> Certificate:
     """Is the candidate's adjacency trace sequence lex-minimal in R_d(n)?"""
-    return _verify_lex_minimal(ADJACENCY, candidate, n, d, caps_override, workers)
+    return _verify_lex_minimal(ADJACENCY, candidate, n, d, workers)
 
 
 def cmd_verify_l_trace_minimal(candidate: Graph, n: int, d: int, *,
-                               caps_override: bool = False, workers: int = 1) -> Certificate:
+                               workers: int = 1) -> Certificate:
     """Is the candidate's Laplacian trace sequence lex-minimal in R_d(n)?"""
-    return _verify_lex_minimal(LAPLACIAN, candidate, n, d, caps_override, workers)
+    return _verify_lex_minimal(LAPLACIAN, candidate, n, d, workers)
 
 
 def cmd_verify_t_optimal(candidate: Graph, n: int, m: int, *,
-                         caps_override: bool = False, workers: int = 1) -> Certificate:
+                         workers: int = 1) -> Certificate:
     """Does the candidate maximize the spanning-tree count over S_{n,m}?"""
     t0 = time.perf_counter()
     if candidate.n != n or candidate.m != m:
         raise ValueError(
             f"candidate has (n, m) = ({candidate.n}, {candidate.m}), "
             f"class wants ({n}, {m})")
-    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers, _t_row)
+    ranked, h_form = _ranked_by_edges(n, m, workers, _t_row)
     cand_form = canonical_form(candidate)
     cand_t = ranked[_locate(cand_form, [form for _, form, _ in ranked])][2]
     tmax = ranked[0][2]
@@ -260,20 +262,18 @@ def cmd_verify_t_optimal(candidate: Graph, n: int, m: int, *,
         _elapsed_ms(t0), extra=extra)
 
 
-def cmd_check_duality(n: int, d: int, *, caps_override: bool = False,
-                      workers: int = 1) -> Certificate:
+def cmd_check_duality(n: int, d: int, *, workers: int = 1) -> Certificate:
     """L-trace minima of R_d(n) must be the complements of the trace minima
     of R_{n-1-d}(n); both sides are computed exhaustively and compared as
     canonical-form sets."""
     t0 = time.perf_counter()
     spec = GraphClassSpec("regular", n, d=d)
-    l_members = enumerate_regular(n, d, caps_override=caps_override, workers=workers)
+    l_members = enumerate_regular(n, d, workers=workers)
     if not l_members:
         extra = {"warning": spec.warning} if spec.warning else {}
         return Certificate("duality", spec, None, VERIFIED, (), (), EXHAUSTIVE,
                            0, _elapsed_ms(t0), extra=extra)
-    a_members = enumerate_regular(n, n - 1 - d, caps_override=caps_override,
-                                  workers=workers)
+    a_members = enumerate_regular(n, n - 1 - d, workers=workers)
     lmin, _ = select_lex_minima(l_members, LAPLACIAN)
     amin, _ = select_lex_minima(a_members, ADJACENCY)
     lset = sorted(to_graph6(g) for g in lmin)
@@ -301,8 +301,7 @@ def construct_summary(g: Graph) -> dict:
     }
 
 
-def cmd_report_class(n: int, m: int, *, caps_override: bool = False,
-                     workers: int = 1) -> dict:
+def cmd_report_class(n: int, m: int, *, workers: int = 1) -> dict:
     """Every iso class of S_{n,m} ranked by exact spanning-tree count.
 
     Ties share a t value but not a rank; rows are ordered by (t descending,
@@ -310,7 +309,7 @@ def cmd_report_class(n: int, m: int, *, caps_override: bool = False,
     asserted: the table reports, tests elsewhere decide.
     """
     t0 = time.perf_counter()
-    ranked, h_form = _ranked_by_edges(n, m, caps_override, workers, _report_row)
+    ranked, h_form = _ranked_by_edges(n, m, workers, _report_row)
     rows = []
     h_rank = None
     for rank, (_, form, t, regular, almost_regular, nu, tau) in enumerate(ranked, start=1):

@@ -98,20 +98,18 @@ def _run_verify(ns, workers):
     if ns.mode == "t-optimal":
         if ns.m is None:
             raise ValueError("verify t-optimal needs --m")
-        cert = cmd_verify_t_optimal(g, ns.n, ns.m, caps_override=ns.caps_override,
-                                    workers=workers)
+        cert = cmd_verify_t_optimal(g, ns.n, ns.m, workers=workers)
     else:
         if ns.d is None:
             raise ValueError(f"verify {ns.mode} needs --d")
         cmd = (cmd_verify_trace_minimal if ns.mode == "trace-min"
                else cmd_verify_l_trace_minimal)
-        cert = cmd(g, ns.n, ns.d, caps_override=ns.caps_override, workers=workers)
+        cert = cmd(g, ns.n, ns.d, workers=workers)
     return _certificate(cert)
 
 
 def _run_duality(ns, workers):
-    return _certificate(cmd_check_duality(ns.n, ns.d, caps_override=ns.caps_override,
-                                         workers=workers))
+    return _certificate(cmd_check_duality(ns.n, ns.d, workers=workers))
 
 
 def _run_construct(ns, workers):
@@ -149,12 +147,11 @@ def _run_enumerate(ns, workers):
         spec = GraphClassSpec("edges", ns.n, m=ns.m)
     payload = {"command": "enumerate", "class_spec": spec.to_dict()}
     if ns.out:
-        count = spool_class(spec, ns.out, caps_override=ns.caps_override, workers=workers)
+        count = spool_class(spec, ns.out, workers=workers)
         payload.update(out=ns.out, count=count)
         text = f"{count} classes written to {ns.out}\n"
     else:
-        forms = enumerate_class(spec, caps_override=ns.caps_override, workers=workers,
-                                row=to_graph6)
+        forms = enumerate_class(spec, workers=workers, row=to_graph6)
         payload.update(count=len(forms), graphs=forms)
         text = "".join(f"{f}\n" for f in forms)
     if spec.warning:
@@ -177,7 +174,7 @@ def _run_bound(ns, workers):
 
 
 def _run_report(ns, workers):
-    report = cmd_report_class(ns.n, ns.m, caps_override=ns.caps_override, workers=workers)
+    report = cmd_report_class(ns.n, ns.m, workers=workers)
     return EXIT_OK, lambda: report_to_json(report), lambda: report_render_text(report)
 
 
@@ -197,8 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: the cores this process may use)")
     common.add_argument("--format", choices=["text", "structured"], default="text")
-    common.add_argument("--caps-override", action="store_true",
-                        help="raise the enumeration size caps one notch")
 
     parser = argparse.ArgumentParser(prog="treeopt",
                                      description="exact spanning-tree toolkit")

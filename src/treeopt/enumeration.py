@@ -19,9 +19,8 @@ neighbours in a cell with `int.bit_count`, and try twins of either kind
 generator carries each child's search on from its parent's instead of
 starting it again.
 
-Size caps keep runs at desk scale: regular classes to n = 10 (12 with override),
-edge-count sweeps to n = 8 (9 with override). The canonical form itself is
-hard-capped at n = 16.
+Size caps keep runs at desk scale: regular classes to n = 12, edge-count
+sweeps to n = 9. The canonical form itself is hard-capped at n = 16.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ from .sequences import LAPLACIAN, select_lex_minima
 CANONICAL_HARD_CAP = 16
 CHECKPOINT_SUFFIX = ".checkpoint"
 
-_REGULAR_DEFAULT_N = 10
-_REGULAR_OVERRIDE_N = 12
-_EDGES_DEFAULT_N = 8
-_EDGES_OVERRIDE_N = 9
+_REGULAR_CAP = 12
+_EDGES_CAP = 9
 
 Row = Callable[[Graph], object]  # a member's sortable, picklable row
 
@@ -461,21 +458,19 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
             yield from pool.imap(work, tasks, chunksize=chunk)
 
 
-def _class_tasks(spec: GraphClassSpec, *, caps_override: bool = False) -> list:
+def _class_tasks(spec: GraphClassSpec) -> list:
     """Check a class spec against its ranges and caps, then split its search
     into subtree tasks for `_worker`, in an order that never depends on the
     worker count."""
     n, d, m = spec.n, spec.d, spec.m
-    override = " (override active)" if caps_override else ""
     # the canonicity search before row 0: its root, stopped at level 0
     root = [(0, [(1 << n) - 1], None, None)]
     if spec.kind == "regular":
         if n < 1 or d is None or not 0 <= d <= n - 1:
             raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n} d={d}")
-        limit = _REGULAR_OVERRIDE_N if caps_override else _REGULAR_DEFAULT_N
-        if n > limit:
-            raise CapsExceededError(f"regular enumeration capped at n = {limit}"
-                                    f"{override}, requested n = {n}")
+        if n > _REGULAR_CAP:
+            raise CapsExceededError(f"regular enumeration capped at n = {_REGULAR_CAP}, "
+                                    f"requested n = {n}")
         if spec.warning:
             return []
         roots = [(0, (0,) * n, (), ((0, n - 1, d),), None, root)]
@@ -483,10 +478,9 @@ def _class_tasks(spec: GraphClassSpec, *, caps_override: bool = False) -> list:
         maxm = n * (n - 1) // 2
         if n < 1 or m is None or not 0 <= m <= maxm:
             raise ValueError(f"need n >= 1 and 0 <= m <= {maxm}, got n={n} m={m}")
-        limit = _EDGES_OVERRIDE_N if caps_override else _EDGES_DEFAULT_N
-        if n > limit:
-            raise CapsExceededError(f"edge-count enumeration capped at n = {limit}"
-                                    f"{override}, requested n = {n}")
+        if n > _EDGES_CAP:
+            raise CapsExceededError(f"edge-count enumeration capped at n = {_EDGES_CAP}, "
+                                    f"requested n = {n}")
         # one root per degree of vertex 0, the top one: at least the mean 2m/n
         roots = [(0, (0,) * n, (), ((0, n - 1, top),), m, root)
                  for top in range(-(-2 * m // n), min(n - 1, m) + 1)]
@@ -498,15 +492,14 @@ def _class_tasks(spec: GraphClassSpec, *, caps_override: bool = False) -> list:
     return [(n, *state) for state in _states(n, roots, depth)]
 
 
-def enumerate_class(spec: GraphClassSpec, *, caps_override: bool = False,
-                    workers: int = 1, row: Row | None = None) -> list:
+def enumerate_class(spec: GraphClassSpec, *, workers: int = 1, row: Row | None = None) -> list:
     """The class's members, canonical representatives in ascending graph6 order.
 
     Given `row`, the workers apply it to each member and the result is the
     members' rows in ascending order. It must be a module-level function, so
     that a pool can send it by name, and its rows must pickle.
     """
-    tasks = _class_tasks(spec, caps_override=caps_override)
+    tasks = _class_tasks(spec)
     # each task's rows come sorted: the sort only merges the runs
     rows = [r for chunk in _run_partitioned(tasks, workers, row or _canonical_row)
             for r in chunk]
@@ -514,45 +507,38 @@ def enumerate_class(spec: GraphClassSpec, *, caps_override: bool = False,
     return rows if row else [g for _, g in rows]
 
 
-def enumerate_regular(n: int, d: int, *, caps_override: bool = False,
-                      workers: int = 1) -> list[Graph]:
+def enumerate_regular(n: int, d: int, *, workers: int = 1) -> list[Graph]:
     """All d-regular graphs on n vertices up to isomorphism.
 
     Odd n*d is not an error: the class is empty, and its spec's `warning`
     says why.
     """
-    return enumerate_class(GraphClassSpec("regular", n, d=d),
-                           caps_override=caps_override, workers=workers)
+    return enumerate_class(GraphClassSpec("regular", n, d=d), workers=workers)
 
 
-def enumerate_by_edges(n: int, m: int, *, caps_override: bool = False,
-                       workers: int = 1, row: Row | None = None) -> list:
+def enumerate_by_edges(n: int, m: int, *, workers: int = 1, row: Row | None = None) -> list:
     """All graphs on n vertices with exactly m edges, up to isomorphism; or,
     given `row`, their rows, as `enumerate_class` makes them."""
-    return enumerate_class(GraphClassSpec("edges", n, m=m),
-                           caps_override=caps_override, workers=workers, row=row)
+    return enumerate_class(GraphClassSpec("edges", n, m=m), workers=workers, row=row)
 
 
-def enumerate_almost_regular(n: int, m: int, *, caps_override: bool = False,
-                             workers: int = 1) -> list[Graph]:
+def enumerate_almost_regular(n: int, m: int, *, workers: int = 1) -> list[Graph]:
     """Members of the edge-count class whose degrees span at most two adjacent values."""
-    return [g for g in enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
+    return [g for g in enumerate_by_edges(n, m, workers=workers)
             if degree_info(g).is_almost_regular]
 
 
-def ladder_level(n: int, m: int, k: int, *, caps_override: bool = False,
-                 workers: int = 1) -> list[Graph]:
+def ladder_level(n: int, m: int, k: int, *, workers: int = 1) -> list[Graph]:
     """Iterated minimizers: level 1 is the whole class, level j+1 keeps the
     members minimizing the (j+1)-th Laplacian trace among level j. The first
     trace is 2m throughout, so level k is the class's lex minima at cutoff k."""
-    members = enumerate_by_edges(n, m, caps_override=caps_override, workers=workers)
+    members = enumerate_by_edges(n, m, workers=workers)
     return select_lex_minima(members, LAPLACIAN, k)[0]
 
 
-def nu_min_set(n: int, m: int, *, caps_override: bool = False,
-               workers: int = 1) -> list[Graph]:
+def nu_min_set(n: int, m: int, *, workers: int = 1) -> list[Graph]:
     """Minimizers of the induced-path count among almost-regular members."""
-    pool = enumerate_almost_regular(n, m, caps_override=caps_override, workers=workers)
+    pool = enumerate_almost_regular(n, m, workers=workers)
     if not pool:
         return []
     vals = [count_induced_p3(g) for g in pool]
@@ -560,12 +546,11 @@ def nu_min_set(n: int, m: int, *, caps_override: bool = False,
     return [g for g, v in zip(pool, vals) if v == lo]
 
 
-def tau_min(n: int, d: int, *, caps_override: bool = False,
-            workers: int = 1) -> tuple[int | None, list[Graph]]:
+def tau_min(n: int, d: int, *, workers: int = 1) -> tuple[int | None, list[Graph]]:
     """Least triangle count over the regular class, with all witnesses.
 
     Empty class (odd parity) gives (None, [])."""
-    members = enumerate_regular(n, d, caps_override=caps_override, workers=workers)
+    members = enumerate_regular(n, d, workers=workers)
     if not members:
         return None, []
     vals = [count_triangles(g) for g in members]
@@ -607,8 +592,7 @@ def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
     return done
 
 
-def spool_class(spec: GraphClassSpec, path: str, *, caps_override: bool = False,
-                workers: int = 1) -> int:
+def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
     """Write one canonical graph6 line per class member to `path`.
 
     Work is split into subtree tasks; finished tasks land in
@@ -627,7 +611,7 @@ def spool_class(spec: GraphClassSpec, path: str, *, caps_override: bool = False,
         raise ValueError(f"output path {path} is a directory")
     if os.path.exists(path) and not os.path.isfile(path):
         raise ValueError(f"output path {path} is not a regular file")
-    tasks = _class_tasks(spec, caps_override=caps_override)
+    tasks = _class_tasks(spec)
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
     done = _resume(ck_path, header, len(tasks))

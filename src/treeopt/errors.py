@@ -18,7 +18,7 @@ class UnsupportedSizeError(ValueError):
 
 
 class CapsExceededError(Exception):
-    """Requested class is beyond the configured enumeration caps."""
+    """Requested class is beyond the enumeration size caps."""
 
 
 class InternalConsistencyError(Exception):

@@ -31,6 +31,7 @@ from treeopt.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    from_graph6,
     h_family,
     to_graph6,
 )
@@ -275,6 +276,15 @@ def test_report_encodes_each_member_once(monkeypatch):
     report = cmd_report_class(8, 12, workers=1)
     # 1,312 members, each encoded once in its task, plus the H family's form
     assert report["class_size"] == 1312 and len(calls) == 1313
+
+
+def test_verify_encodes_each_member_once(monkeypatch):
+    calls = _count_calls(monkeypatch, to_graph6)
+    cert = cmd_verify_trace_minimal(from_graph6("I~{?GKF@w"), 10, 4, workers=1)
+    # 60 members, each encoded once in its task, plus the candidate and the
+    # one winner; the candidate is found among the members as a Graph
+    assert cert.verdict == REFUTED and cert.method == EXHAUSTIVE
+    assert cert.class_size == 60 and len(cert.winners) == 1 and len(calls) == 62
 
 
 def test_enumerate_encodes_each_member_once(monkeypatch, capsys):

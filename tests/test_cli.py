@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 import os
+import re
 import stat
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,27 +92,44 @@ def test_bad_graph6_is_usage_error(capsys):
 
 
 def test_caps_refusal(capsys):
-    assert main(["enumerate", "--class", "r", "--n", "11", "--d", "3"]) == 3
+    assert main(["enumerate", "--class", "r", "--n", "13", "--d", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: regular enumeration capped at n = 12, requested n = 13\n")
+
+
+def test_caps_refusal_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "r134.g6"
+    assert main(["enumerate", "--class", "r", "--n", "13", "--d", "4",
+                 "--out", str(out)]) == 3
     assert "refused:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_caps_override(capsys):
-    rc = main(["enumerate", "--class", "s", "--n", "9", "--m", "2",
-               "--caps-override"])
-    assert rc == 0
+def test_edge_class_at_the_cap(capsys):
+    assert main(["enumerate", "--class", "s", "--n", "9", "--m", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
+    assert main(["enumerate", "--class", "s", "--n", "10", "--m", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: edge-count enumeration capped at n = 9, requested n = 10\n")
 
 
-def test_caps_override_reaches_the_certify_commands(capsys):
-    # S(9,2) is past the edge-count cap; both members (2K_2 and P_3) have t = 0
+def test_caps_reach_the_certify_commands(capsys):
+    # S(9,2) is at the edge-count cap; both members (2K_2 and P_3) have t = 0
     args = ["verify", "t-optimal", "--n", "9", "--m", "2", "--g6", "Ho?????"]
-    assert main(args) == 3
-    assert "refused:" in capsys.readouterr().err
-    assert main(args + ["--caps-override", "--format", "structured"]) == 0
+    assert main(args + ["--format", "structured"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "VERIFIED"
     assert payload["class_size"] == "2" and len(payload["winners"]) == 2
+    # S(10,2) is past it
+    assert main(["verify", "t-optimal", "--n", "10", "--m", "2", "--g6", "Io???????"]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
+def test_caps_override_is_an_unknown_argument(capsys):
+    assert main(["enumerate", "--class", "s", "--n", "9", "--m", "2",
+                 "--caps-override"]) == 2
+    assert "unrecognized arguments: --caps-override" in capsys.readouterr().err
 
 
 def test_enumerate_parity_warning(tmp_path, capsys):
@@ -348,6 +367,37 @@ def test_help_and_unknown_commands(capsys):
     assert main(["nope"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+LONG_OPTION = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+COMMON_OPTIONS = {"--format", "--workers"}
+
+
+def _help(capsys, *args) -> str:
+    assert main([*args, "--help"]) == 0
+    return capsys.readouterr().out
+
+
+def test_readme_cli_section_matches_the_parser(capsys):
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    lines = {}
+    for line in section.split("```\n", 2)[1].splitlines():
+        name = line.split()[1]
+        assert line.startswith("treeopt ") and name not in lines, line
+        lines[name] = line
+    names = re.search(r"\{([\w,-]+)\}", _help(capsys)).group(1).split(",")
+    assert sorted(lines) == sorted(names)
+    accepts = next(p for p in section.split("\n\n") if p.startswith("Every subcommand accepts"))
+    assert COMMON_OPTIONS <= set(LONG_OPTION.findall(accepts))
+    accepted = set()
+    for name in names:
+        options = set(LONG_OPTION.findall(_help(capsys, name)))
+        assert COMMON_OPTIONS <= options, name
+        accepted |= options
+        missing = options - COMMON_OPTIONS - {"--help"} - set(LONG_OPTION.findall(lines[name]))
+        assert not missing, (name, missing)
+    assert set(LONG_OPTION.findall(section)) <= accepted
 
 
 def test_internal_fault_exit_code(monkeypatch, capsys):

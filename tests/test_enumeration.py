@@ -373,7 +373,7 @@ def test_edge_class_counts_match_burnside_n8_spot():
     expect = burnside_counts(8)
     assert sum(expect) == 12346
     for m in (0, 12, 16, 28):
-        got = len(enumerate_by_edges(8, m, caps_override=True))
+        got = len(enumerate_by_edges(8, m))
         assert got == expect[m], m
 
 
@@ -451,11 +451,12 @@ def test_validation_and_caps():
         enumerate_regular(4, 4)
     with pytest.raises(ValueError):
         enumerate_by_edges(4, 7)
+    assert len(enumerate_regular(12, 3)) == 94
     with pytest.raises(CapsExceededError):
-        enumerate_regular(11, 2)
+        enumerate_regular(13, 2)
+    assert len(enumerate_by_edges(9, 2)) == 2  # 2K_2 or P_3
     with pytest.raises(CapsExceededError):
-        enumerate_by_edges(9, 4)
-    assert len(enumerate_by_edges(9, 2, caps_override=True)) == 2  # 2K_2 or P_3
+        enumerate_by_edges(10, 2)
 
 
 def test_worker_count_does_not_change_results():

@@ -137,10 +137,10 @@ def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
 
     Members are canonical representatives, one per isomorphism class, as
     the enumerators emit them: the member equal to the candidate's canonical
-    relabeling is the candidate.
+    relabeling, or to the candidate itself, is the candidate.
     """
     pool = list(members)
-    canon = canonical_relabel(candidate)
+    canon = candidate if candidate in pool else canonical_relabel(candidate)
     others = [g for g in pool if g != canon]
     if len(others) == len(pool):
         raise ValueError("candidate is not among the members, which must be canonical")

@@ -195,11 +195,12 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     _require_regular(candidate, n, d)
     command = "verify-trace-min" if kind == ADJACENCY else "verify-ltrace-min"
     spec = GraphClassSpec("regular", n, d=d)
-    probe, probe_d = (candidate, d) if kind == ADJACENCY else (complement(candidate), n - 1 - d)
+    probe_d = d if kind == ADJACENCY else n - 1 - d
     probe_members = enumerate_regular(n, probe_d, workers=workers)
-    status = girth_certificate(probe, probe_members)
-    cand = canonical_relabel(candidate)
+    cand = canonical_relabel(candidate)  # once: as the adjacency probe it is a member
     cand_form = to_graph6(cand)
+    probe = cand if kind == ADJACENCY else complement(candidate)
+    status = girth_certificate(probe, probe_members)
     if status != INCONCLUSIVE:
         extra = {"girth_certificate": status}
         if kind == LAPLACIAN:

@@ -20,12 +20,29 @@ EQUAL = "EQUAL"
 GREATER = "GREATER"
 
 
-def _matrix_for(g: Graph, kind: str) -> IntMatrix:
+def _trace_prefix(g: Graph, kind: str, upto: int) -> tuple[int, ...]:
+    """Traces at indices 1..upto (at most 4) from the bitset rows alone, by
+    the identities that `select_lex_minima` names; no matrix is built."""
+    if kind not in (ADJACENCY, LAPLACIAN):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    rows = g.rows
+    degs = [r.bit_count() for r in rows]
+    tri = off = 0  # over i < j: c_ij on edges (3 tau), and (M^2)_ij squared
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, g.n):
+            c = (ri & rows[j]).bit_count()
+            if ri >> j & 1:
+                tri += c
+                if kind == LAPLACIAN:
+                    c -= degs[i] + degs[j]
+            off += c * c
+    s1, s2, s3 = (sum(d ** p for d in degs) for p in (1, 2, 3))
     if kind == ADJACENCY:
-        return adjacency_matrix(g)
-    if kind == LAPLACIAN:
-        return laplacian(g)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+        full = (0, s1, 2 * tri, s2 + 2 * off)
+    else:
+        full = (s1, s2 + s1, s3 + 3 * s2 - 2 * tri,
+                sum((d * d + d) ** 2 for d in degs) + 2 * off)
+    return full[:upto]
 
 
 def adjacency_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
@@ -63,14 +80,19 @@ def select_lex_minima(
 ) -> tuple[list[Graph], list[dict]]:
     """Lex-minimal members plus a per-graph divergence record.
 
-    Lexicographic order by definition: for k = 1..cutoff each surviving
-    member's running matrix power is multiplied once, and the members whose
-    k-th trace exceeds the least one among the survivors are recorded as
-    GREATER at `divergence_index` k, with their `value` and the
-    `minimum_value` there, and dropped. The survivors at k agree with the
-    minimum through k - 1, so k is where a dropped member's sequence leaves
-    the minimum's. The members left at the cutoff are the minima; their
-    records are EQUAL with index and values None.
+    Indices 1..min(4, cutoff) come from the bitset rows, with no matrix:
+    tr A = 0, tr A^2 = 2m, tr A^3 = 6 tau, tr A^4 = sum_ij c_ij^2, and
+    tr L = sum d, tr L^2 = sum d^2 + sum d, tr L^3 = sum d^3 + 3 sum d^2 -
+    6 tau, tr L^4 = sum_ij (L^2)_ij^2 with (L^2)_ii = d_i^2 + d_i and
+    (L^2)_ij = c_ij - a_ij (d_i + d_j), where c_ij = |N(i) & N(j)|. A member
+    whose prefix exceeds the least one is recorded as GREATER at
+    `divergence_index` k, the first index where the two differ, with its
+    `value` and the `minimum_value` there. The members still tied go on from
+    k = 5 by matrix products: each survivor's running power is multiplied
+    once per index, and those whose trace exceeds the least among the
+    survivors are recorded and dropped the same way. Selection stops at the
+    cutoff or as soon as one member is left. The members left are the
+    minima; their records are EQUAL with index and values None.
     """
     pool = list(graphs)
     if not pool:
@@ -82,14 +104,26 @@ def select_lex_minima(
         cutoff = n
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    mats = [_matrix_for(g, kind) for g in pool]
-    powers = list(mats)
+    upto = min(cutoff, 4)
+    prefixes = [_trace_prefix(g, kind, upto) for g in pool]
+    least = min(prefixes)
     records: list = [None] * len(pool)
-    alive = range(len(pool))
-    for k in range(1, cutoff + 1):
-        if k > 1:
-            for i in alive:
-                powers[i] = powers[i].mul(mats[i])
+    for i, p in enumerate(prefixes):
+        if p != least:
+            k = next(k for k in range(upto) if p[k] != least[k])
+            records[i] = {"relation": GREATER, "divergence_index": k + 1,
+                          "value": p[k], "minimum_value": least[k]}
+    alive = [i for i, p in enumerate(prefixes) if p == least]
+    for k in range(5, cutoff + 1):
+        if len(alive) == 1:
+            break
+        if k == 5:  # the fourth powers of the members tied through k = 4
+            build = adjacency_matrix if kind == ADJACENCY else laplacian
+            mats = {i: build(pool[i]) for i in alive}
+            powers = {i: m.mul(m) for i, m in mats.items()}
+            powers = {i: p.mul(p) for i, p in powers.items()}
+        for i in alive:
+            powers[i] = powers[i].mul(mats[i])
         values = {i: powers[i].trace() for i in alive}
         low = min(values.values())
         for i, v in values.items():

@@ -49,7 +49,16 @@ def test_ranked_pass_is_traced():
 
 
 def test_trace_products_are_traced():
-    # `linalg.matmul` is booked at `IntMatrix.mul`: lex-minimum selection
-    # must still multiply through it
-    _, _, calls = _traced_calls(cmd_check_duality, 8, 3)
+    # `linalg.matmul` is booked at `IntMatrix.mul`: lex-minimum selection must
+    # still multiply through it for members tied past k = 4, as C10 and C5 + C5
+    # are in R_2(10) and their complements in R_7(10)
+    _, _, calls = _traced_calls(cmd_check_duality, 10, 7)
     assert calls["IntMatrix.mul"] > 0
+
+
+def test_duality_settled_by_bitset_traces_makes_no_products():
+    # R_4(10) and R_5(10) keep one member each after k = 4, so selection
+    # multiplies no matrix at all
+    cert, _, calls = _traced_calls(cmd_check_duality, 10, 4)
+    assert cert.class_size == 60
+    assert calls["IntMatrix.mul"] == 0

@@ -20,7 +20,7 @@ from treeopt.certify import (
     report_to_json,
 )
 from treeopt.cli import main
-from treeopt.enumeration import GraphClassSpec, canonical_form
+from treeopt.enumeration import GraphClassSpec, canonical_form, canonical_relabel
 from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
     Graph,
@@ -285,6 +285,22 @@ def test_verify_encodes_each_member_once(monkeypatch):
     # one winner; the candidate is found among the members as a Graph
     assert cert.verdict == REFUTED and cert.method == EXHAUSTIVE
     assert cert.class_size == 60 and len(cert.winners) == 1 and len(calls) == 62
+
+
+def test_verify_canonicalizes_the_candidate_once(monkeypatch):
+    calls = _count_calls(monkeypatch, canonical_relabel)
+    petersen = from_graph6("IheA@GUAo")
+    # the canonical candidate is the adjacency probe, a member of its class,
+    # so the girth certificate takes it without a second canonicalization
+    assert cmd_verify_trace_minimal(petersen, 10, 3, workers=1).method == GIRTH_CERTIFICATE
+    assert calls == [(petersen,)]
+    k5k5 = from_graph6("I~{?GKF@w")
+    assert cmd_verify_trace_minimal(k5k5, 10, 4, workers=1).verdict == REFUTED
+    assert calls[1:] == [(k5k5,)]
+    # the Laplacian probe is the complement, canonicalized apart
+    del calls[:]
+    cert = cmd_verify_l_trace_minimal(complement(petersen), 10, 6, workers=1)
+    assert cert.method == GIRTH_CERTIFICATE and len(calls) == 2
 
 
 def test_enumerate_encodes_each_member_once(monkeypatch, capsys):

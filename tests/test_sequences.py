@@ -13,10 +13,11 @@ from treeopt.graphs import (
     is_clique_union,
     path_graph,
 )
-from treeopt.linalg import adjacency_matrix, laplacian
+from treeopt.linalg import adjacency_matrix, laplacian, trace_powers
 from treeopt.sequences import (
     ADJACENCY,
     LAPLACIAN,
+    _trace_prefix,
     adjacency_sequence,
     degree_power_floor,
     gap_sequence,
@@ -64,6 +65,19 @@ def test_traces_match_naive_matrix_power(n, mask, k):
             == naive_trace_power([list(r) for r in laplacian(g).rows], k))
     assert (adjacency_sequence(g, k)[k - 1]
             == naive_trace_power([list(r) for r in adjacency_matrix(g).rows], k))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 9), st.integers(0, (1 << 36) - 1), st.integers(1, 4))
+def test_bitset_trace_prefix_matches_matrix_powers(n, mask, cutoff):
+    # the route that settles indices 1..4 in `select_lex_minima` against
+    # IntMatrix products and against plain nested-loop products
+    g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
+    for kind, mat in ((ADJACENCY, adjacency_matrix(g)), (LAPLACIAN, laplacian(g))):
+        prefix = _trace_prefix(g, kind, cutoff)
+        assert prefix == tuple(trace_powers(mat, cutoff))
+        rows = [list(r) for r in mat.rows]
+        assert prefix == tuple(naive_trace_power(rows, k) for k in range(1, cutoff + 1))
 
 
 def test_gap_sequence_known():
@@ -119,11 +133,11 @@ def test_select_lex_minima_validation():
             select_lex_minima([cycle_graph(5), path_graph(5)], LAPLACIAN, cutoff)
 
 
-def _reference_lex_minima(pool, kind):
+def _reference_lex_minima(pool, kind, cutoff=None):
     """Full sequences for every member, each compared with the overall least
     at the first index where the two differ."""
     sequence = adjacency_sequence if kind == ADJACENCY else laplacian_sequence
-    seqs = [sequence(g, g.n) for g in pool]
+    seqs = [sequence(g, cutoff or g.n) for g in pool]
     least = min(seqs)
     minima, records = [], []
     for g, seq in zip(pool, seqs):
@@ -142,14 +156,33 @@ def _reference_lex_minima(pool, kind):
 def test_select_lex_minima_matches_full_sequences():
     classes = [enumerate_regular(n, d) for n in range(1, 9) for d in range(n)]
     classes += [enumerate_by_edges(6, m) for m in range(16)]
+    # the only regular classes with n <= 10 that keep two members tied after
+    # k = 4: C10 and C5 + C5 in R_2(10) for the adjacency kind, and their
+    # complements in R_7(10) for the Laplacian kind, so the product tail runs
+    tied = [enumerate_regular(10, 2), enumerate_regular(10, 7)]
+    for pool, kind in zip(tied, (ADJACENCY, LAPLACIAN)):
+        prefixes = [_trace_prefix(g, kind, 4) for g in pool]
+        assert prefixes.count(min(prefixes)) == 2
     checked = 0
-    for pool in classes:
+    for pool in classes + tied:
         if not pool:
             continue  # odd degree sum
         for kind in (ADJACENCY, LAPLACIAN):
             assert select_lex_minima(pool, kind) == _reference_lex_minima(pool, kind)
             checked += len(pool)
-    assert checked == 2 * (48 + 156)  # regular classes n <= 8, and every graph on 6 vertices
+    # regular classes n <= 8, every graph on 6 vertices, R_2(10) and R_7(10)
+    assert checked == 2 * (48 + 156 + 5 + 5)
+
+
+def test_select_lex_minima_one_member_and_short_cutoffs():
+    pool = enumerate_regular(8, 3)
+    for kind in (ADJACENCY, LAPLACIAN):
+        assert select_lex_minima(pool[:1], kind) == ([pool[0]], [
+            {"relation": "EQUAL", "divergence_index": None, "value": None,
+             "minimum_value": None}])
+        for cutoff in (1, 2, 3, 4, 5):
+            assert (select_lex_minima(pool, kind, cutoff)
+                    == _reference_lex_minima(pool, kind, cutoff))
 
 
 def test_mixed_trace_identity_regular():

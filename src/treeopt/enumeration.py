@@ -19,6 +19,11 @@ neighbours in a cell with `int.bit_count`, and try twins of either kind
 generator carries each child's search on from its parent's instead of
 starting it again.
 
+A class's search is split into subtree tasks by a rule blind to the worker
+count. At more than one worker, forked children and the calling process
+share the tasks (`_forked`), with no `multiprocessing` pool; results come
+back in task order, so no output depends on the worker count.
+
 Size caps keep runs at desk scale: regular classes to n = 12, edge-count
 sweeps to n = 9. The canonical form itself is hard-capped at n = 16.
 """
@@ -31,7 +36,7 @@ import os
 from collections import namedtuple
 from typing import Callable, Iterator, Sequence
 
-from .errors import CapsExceededError, UnsupportedSizeError
+from .errors import CapsExceededError, InternalConsistencyError, UnsupportedSizeError
 from .graphs import Graph, count_induced_p3, count_triangles, degree_info, to_graph6
 from .sequences import LAPLACIAN, select_lex_minima
 
@@ -440,22 +445,120 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
     """Map `_worker` with `row` over search-tree tasks, yielding results in
     task order as they land.
 
-    Pool workers ignore SIGINT: Ctrl-C interrupts the parent alone, and
-    leaving the pool terminates them.
+    At one worker, or without `os.fork`, the tasks run in this process.
+    Otherwise `min(workers, len(tasks)) - 1` forked children and this
+    process share them (`_forked`).
     """
     work = functools.partial(_worker, row=row)
     workers = min(workers, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(work, tasks)
     else:
-        import multiprocessing  # a tenth of the CLI's import time, unused at one worker
-        import signal
+        yield from _forked(work, tasks, workers - 1)
 
-        # about four chunks a worker: a round trip per task costs more than
-        # the smallest tasks take
-        chunk = -(-len(tasks) // (4 * workers))
-        with multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-            yield from pool.imap(work, tasks, chunksize=chunk)
+
+def _forked(work: Callable, tasks: list, children: int) -> Iterator[list]:
+    """`map(work, tasks)` shared by this process and `children` forked ones.
+
+    Every task index goes, as one byte, into one pipe in a single write
+    before any fork, so each one-byte read claims a distinct task, and the
+    pipe reads empty once all are claimed. A child ignores SIGINT (Ctrl-C
+    interrupts this process alone), runs the tasks it claims and writes
+    each result as a length-prefixed pickled frame (index, ok, result or
+    exception) to its own pipe, then leaves by `os._exit`. This process
+    claims tasks too, and reads the frames that are ready after each of
+    its own tasks; once none is left to claim, it waits on them. A child's
+    exception is raised here; a task that no child returns, because its
+    child died or could not pickle the frame, raises
+    InternalConsistencyError. Leaving early (an
+    exception, Ctrl-C, closing the generator) kills the children; every
+    child is reaped, so its CPU time counts towards this process's. Forking
+    is safe only while this process runs no other thread; the CLI starts
+    none.
+    """
+    import pickle
+    import select
+    import signal
+
+    if len(tasks) > 255:
+        raise InternalConsistencyError(f"{len(tasks)} tasks do not fit in one-byte claims")
+    claims, claim_w = os.pipe()
+    os.write(claim_w, bytes(range(len(tasks))))
+    os.close(claim_w)
+    pids: list[int] = []
+    pending: dict[int, bytearray] = {}  # an open result pipe -> bytes not yet framed
+    results: dict[int, list] = {}
+    finished = False
+
+    def receive(timeout: float | None) -> None:
+        # wait up to `timeout` for a frame or an end, then take all that is ready
+        while pending:
+            ready, _, _ = select.select(list(pending), [], [], timeout)
+            if not ready:
+                return
+            timeout = 0
+            for fd in ready:
+                data = os.read(fd, 1 << 16)
+                if not data:  # the child has left
+                    os.close(fd)
+                    del pending[fd]
+                    continue
+                buf = pending[fd]
+                buf += data
+                while len(buf) >= 8:
+                    size = 8 + int.from_bytes(buf[:8], "little")
+                    if len(buf) < size:
+                        break
+                    index, ok, value = pickle.loads(buf[8:size])
+                    del buf[:size]
+                    if not ok:
+                        raise value
+                    results[index] = value
+
+    try:
+        for _ in range(children):
+            out, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    for fd in (out, *pending):
+                        os.close(fd)
+                    while claim := os.read(claims, 1):
+                        index = claim[0]
+                        try:
+                            frame = (index, True, work(tasks[index]))
+                        except Exception as e:
+                            frame = (index, False, e)
+                        data = pickle.dumps(frame)
+                        data = memoryview(len(data).to_bytes(8, "little") + data)
+                        while data:
+                            data = data[os.write(out_w, data):]
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(out_w)
+            pending[out] = bytearray()
+        for index in range(len(tasks)):
+            while index not in results:
+                claim = os.read(claims, 1)
+                if claim:
+                    results[claim[0]] = work(tasks[claim[0]])
+                    receive(0)
+                elif pending:
+                    receive(None)
+                else:
+                    raise InternalConsistencyError(f"task {index} was lost with its child")
+            yield results.pop(index)
+        finished = True
+    finally:
+        os.close(claims)
+        for fd in pending:
+            os.close(fd)
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _class_tasks(spec: GraphClassSpec) -> list:
@@ -496,8 +599,8 @@ def enumerate_class(spec: GraphClassSpec, *, workers: int = 1, row: Row | None =
     """The class's members, canonical representatives in ascending graph6 order.
 
     Given `row`, the workers apply it to each member and the result is the
-    members' rows in ascending order. It must be a module-level function, so
-    that a pool can send it by name, and its rows must pickle.
+    members' rows in ascending order. Its rows must pickle: a forked child
+    sends them back to the calling process.
     """
     tasks = _class_tasks(spec)
     # each task's rows come sorted: the sort only merges the runs

@@ -1,11 +1,18 @@
-"""Shared brute-force oracles.
+"""Shared brute-force oracles, and guards on the processes tests fork.
 
 Everything here recomputes an answer from first principles (subset scans,
 permutation orbits, Burnside sums) so the package's optimized routines are
 checked against independent arithmetic, not against themselves. The
 exception is `are_isomorphic`, a helper that compares canonical forms; the
 canonical form itself is checked against brute force in test_enumeration.
+
+Every test must reap every child process it starts (`no_child_left`).
+`counting_fork` and `split_worker` steer the forked children that
+enumeration runs at more than one worker.
 """
+import os
+import select
+import signal
 from itertools import combinations, permutations
 from math import factorial
 
@@ -154,3 +161,69 @@ def strip_timing(json_text: str) -> str:
     obj.pop("elapsed_ms", None)
     obj.pop("tool_version", None)
     return json.dumps(obj, sort_keys=True)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of the test process unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
+
+
+def counting_fork(monkeypatch, limit: int) -> list:
+    """Count the calls to `os.fork` in a list, which is returned. A call past
+    `limit` raises before it forks, so a broken cap on the number of children
+    fails the test instead of starting a process per extra worker."""
+    forks: list = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) > limit:
+            raise AssertionError(f"fork number {len(forks)} is past the limit of {limit}")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def split_worker(monkeypatch):
+    """Install `_worker` stand-ins: `split_worker(child, parent)` runs
+    `child(task, row)` for the tasks a forked child claims and `parent(task,
+    row)` for the test process's own. The test process's first task waits
+    until a child has started one, so that a child surely claims a task.
+    The test is stopped with TimeoutError after 60 s instead of hanging."""
+    import treeopt.enumeration as enum
+
+    started_r, started_w = os.pipe()
+    me = os.getpid()
+    waited: list = []
+
+    def install(child, parent):
+        def worker(task, row):
+            if os.getpid() != me:
+                os.write(started_w, b"x")
+                return child(task, row)
+            if not waited:
+                waited.append(select.select([started_r], [], [], 30)[0])
+            return parent(task, row)
+
+        monkeypatch.setattr(enum, "_worker", worker)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the run did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield install
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(started_r)
+        os.close(started_w)

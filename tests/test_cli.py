@@ -1,7 +1,7 @@
 import json
-import multiprocessing
 import os
 import re
+import select
 import stat
 import sys
 from pathlib import Path
@@ -22,7 +22,7 @@ from treeopt.graphs import (
     to_graph6,
 )
 
-from conftest import are_isomorphic
+from conftest import are_isomorphic, counting_fork
 
 g6_k33 = to_graph6(complete_bipartite(3, 3))
 g6_c6 = to_graph6(cycle_graph(6))
@@ -246,17 +246,29 @@ def test_default_workers_are_the_usable_cores(monkeypatch):
     assert cli._workers(unset) == 1  # core count unknown
 
 
-def test_run_pinned_to_one_core_starts_no_pool(monkeypatch, capsys):
+def test_run_pinned_to_one_core_forks_no_child(monkeypatch, capsys):
     from treeopt.enumeration import GraphClassSpec, _class_tasks
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
 
     assert len(_class_tasks(GraphClassSpec("edges", 6, m=9))) > 1  # two workers would fork
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    forks = counting_fork(monkeypatch, 0)
     assert main(["report", "--n", "6", "--m", "9"]) == 0
+    assert forks == []
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_worker_fault_at_two_workers_exits_4(split_worker, capsys, side):
+    import treeopt.enumeration as enum
+
+    def fault(task, row):
+        raise InternalConsistencyError("injected fault")
+
+    real = enum._worker
+    split_worker(*((fault, real) if side == "child" else (real, fault)))
+    assert main(["report", "--n", "6", "--m", "9", "--workers", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal fault: injected fault\n"
 
 
 def test_construct_h(capsys):
@@ -454,5 +466,45 @@ def test_interrupted_spool_resumes(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(enum, "_worker", real_worker)
     assert main(args + [str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert not ck.exists()
+
+
+def test_interrupted_spool_at_two_workers_resumes(tmp_path, split_worker, capsys):
+    import treeopt.enumeration as enum
+
+    args = ["enumerate", "--class", "s", "--n", "8", "--m", "14", "--out"]
+    clean = tmp_path / "clean.g6"
+    assert main(args + [str(clean), "--workers", "1"]) == 0
+    out = tmp_path / "s814.g6"
+    ck = tmp_path / "s814.g6.checkpoint"
+    real = enum._worker
+    gate_r, gate_w = os.pipe()  # never written: a child's second task waits on it
+    child_calls, parent_calls = [], []
+
+    def child(task, row):
+        child_calls.append(task)
+        if len(child_calls) > 1:
+            select.select([gate_r], [], [], 30)
+        return real(task, row)
+
+    def parent(task, row):
+        parent_calls.append(task)
+        if len(parent_calls) > 1:
+            raise KeyboardInterrupt
+        return real(task, row)
+
+    split_worker(child, parent)
+    capsys.readouterr()
+    try:
+        assert main(args + [str(out), "--workers", "2"]) == 130
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert capsys.readouterr().err == "interrupted; rerun the same command to resume\n"
+    assert ck.read_text().startswith('{"spec": ') and not out.exists()
+
+    split_worker(real, real)
+    assert main(args + [str(out), "--workers", "2"]) == 0
     assert out.read_bytes() == clean.read_bytes()
     assert not ck.exists()

@@ -1,6 +1,6 @@
 import json
 import math
-import multiprocessing
+import os
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeopt import enumeration
-from treeopt.errors import CapsExceededError, UnsupportedSizeError
+from treeopt.errors import CapsExceededError, InternalConsistencyError, UnsupportedSizeError
 from treeopt.graphs import (
     Graph,
     complement,
@@ -45,6 +45,7 @@ from conftest import (
     are_isomorphic,
     aut_size,
     burnside_counts,
+    counting_fork,
     graph_from_mask,
     labeled_regular_count,
 )
@@ -474,29 +475,29 @@ def test_worker_count_does_not_change_results():
         assert runs[1] and runs[2] == runs[1] and runs[8] == runs[1], spec
 
 
-def test_pool_size_is_capped_at_the_task_count(monkeypatch):
-    # a fake pool records its size and maps in-process: no process is started
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes, *args):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    tasks = _class_tasks(GraphClassSpec("edges", 8, m=12))
+def test_forks_are_capped_at_the_task_count(monkeypatch):
+    tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
+    assert 2 <= len(tasks) <= 5
+    forks = counting_fork(monkeypatch, len(tasks))
     serial = list(enumeration._run_partitioned(tasks, 1, to_graph6))
-    assert sizes == []
-    assert list(enumeration._run_partitioned(tasks, 5000, to_graph6)) == serial
-    assert sizes == [len(tasks)] and len(tasks) < 5000
+    assert forks == []
+    assert list(enumeration._run_partitioned(tasks, len(tasks) + 2, to_graph6)) == serial
+    assert len(forks) == len(tasks) - 1  # the parent runs tasks too
+
+
+def test_fork_runner_refuses_more_tasks_than_one_byte_claims_hold(monkeypatch):
+    forks = counting_fork(monkeypatch, 0)
+    tasks = _class_tasks(GraphClassSpec("regular", 6, d=2)) * 256
+    with pytest.raises(InternalConsistencyError, match="256 tasks"):
+        next(enumeration._run_partitioned(tasks, 2, to_graph6))
+    assert forks == []
+
+
+def test_a_child_that_dies_mid_task_is_an_internal_fault(split_worker):
+    tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
+    split_worker(lambda task, row: os._exit(0), enumeration._worker)
+    with pytest.raises(InternalConsistencyError, match="was lost with its child"):
+        list(enumeration._run_partitioned(tasks, 2, to_graph6))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ and every public name is read by the package or listed as library API.
 No linter is a dependency, so these are the unused-import and dead-name
 checks, on the standard library's `ast`. The import and public-name checks
 skip `__init__.py`: its imports are the package's exports, not uses.
-The last test checks that importing the CLI loads no standard-library
-module that only some runs need.
+The last tests check that importing the CLI loads no standard-library
+module that only some runs need, and that a run at two workers never
+loads `multiprocessing`.
 """
 import ast
 import subprocess
@@ -150,7 +151,8 @@ def test_no_unread_public_names():
 
 # Standard-library modules that `import treeopt.cli` must not load: record
 # types are namedtuples, and the rest is imported where it is used.
-UNUSED_BY_IMPORT = {"dataclasses", "inspect", "fractions", "traceback", "multiprocessing"}
+UNUSED_BY_IMPORT = {"dataclasses", "inspect", "fractions", "traceback", "multiprocessing",
+                    "pickle", "select", "signal"}
 
 
 def test_cli_import_loads_no_unused_stdlib_module():
@@ -161,3 +163,14 @@ def test_cli_import_loads_no_unused_stdlib_module():
                           *sorted(UNUSED_BY_IMPORT)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_two_worker_run_loads_no_multiprocessing():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from treeopt.cli import main; "
+            "code = main(['duality', '--n', '8', '--d', '3', '--workers', '2']); "
+            "print(code, 'multiprocessing' in sys.modules, 'select' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # the duality verdict, then: no multiprocessing, and the fork runner did run
+    assert run.stdout.splitlines()[-1] == "0 False True"

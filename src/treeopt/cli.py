@@ -4,10 +4,16 @@ Exit codes: 0 verified/success, 1 refuted, 2 usage error (bad input, or an
 output path the system refuses), 3 caps refusal, 4 internal-consistency
 fault, 130 interrupted (Ctrl-C; a spool run leaves its checkpoint, and the
 same command resumes from it).
+
+Run as a program, `main` freezes the heap that imports left, so no garbage
+collection walks it again, the one at interpreter exit included; library
+callers of `main(argv)` and of the enumeration and certify functions keep
+a fully collectable heap.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -266,6 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        gc.freeze()  # a program's import-time objects live until exit: keep collections off them
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

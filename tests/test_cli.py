@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import select
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from treeopt.graphs import (
     to_graph6,
 )
 
-from conftest import are_isomorphic, counting_fork
+from conftest import are_isomorphic, counting_fork, strip_timing
 
 g6_k33 = to_graph6(complete_bipartite(3, 3))
 g6_c6 = to_graph6(cycle_graph(6))
@@ -379,6 +381,55 @@ def test_help_and_unknown_commands(capsys):
     assert main(["nope"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _program(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -m treeopt.cli` in a fresh interpreter, site hooks and all."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_program_run_freezes_the_import_time_heap():
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['treeopt', 'count', '--g6', 'EFz_']\n"
+            "try:\n"
+            "    runpy.run_module('treeopt.cli', run_name='__main__')\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, gc.get_freeze_count() > 0)\n")
+    run = _program("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["t = 81", "0 True"]
+
+
+def test_main_with_argv_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["count", "--g6", "EFz_"]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out == "t = 81\n"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["verify", "trace-min", "--n", "10", "--d", "3", "--g6", "IheA@GUAo",
+      "--format", "structured"], 0),
+    (["verify", "trace-min", "--n", "10", "--d", "4", "--g6", "I~{?GKF@w",
+      "--format", "structured"], 1),  # K5 + K5
+    (["count", "--g6", "B!"], 2),
+    (["duality", "--n", "8", "--d", "3", "--workers", "2", "--format", "structured"], 0),
+])
+def test_program_run_matches_main(capsys, args, code):
+    run = _program("-m", "treeopt.cli", *args)
+    assert main(args) == run.returncode == code, run.stderr
+    captured = capsys.readouterr()
+    assert run.stderr == captured.err
+    if code == 2:
+        assert run.stdout == captured.out == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    else:
+        assert strip_timing(run.stdout) == strip_timing(captured.out)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

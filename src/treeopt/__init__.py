@@ -99,6 +99,7 @@ from .sequences import (
     degree_power_floor,
     gap_sequence,
     laplacian_sequence,
+    lex_divergence,
     mixed_trace_identity_check,
     select_lex_minima,
 )

@@ -158,11 +158,6 @@ def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
         if gh < g_girth:
             continue  # diverges at its own girth, in the candidate's favor
         _, h_cyc = girth_and_cycles(h, window)
-        diverged = False
-        for a, b in zip(cand_cyc, h_cyc):
-            if a != b:
-                diverged = a < b
-                break
-        if not diverged:
+        if not cand_cyc < h_cyc:  # equal lengths: lex order is the first difference
             return INCONCLUSIVE
     return CERTIFIED_BY_CYCLE_COUNTS

@@ -35,7 +35,7 @@ from .graphs import (
     to_graph6,
 )
 from .linalg import spanning_tree_count
-from .sequences import ADJACENCY, EQUAL, LAPLACIAN, select_lex_minima
+from .sequences import ADJACENCY, LAPLACIAN, lex_divergence, select_lex_minima
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "2"
@@ -211,13 +211,13 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
             len(probe_members), _elapsed_ms(t0), extra=extra)
     members = (probe_members if kind == ADJACENCY
                else enumerate_regular(n, d, workers=workers))
-    idx = _locate(cand, members)
-    minima, records = select_lex_minima(members, kind)
+    _locate(cand, members)
+    minima = select_lex_minima(members, kind)
     winners = tuple(sorted(to_graph6(g) for g in minima))
-    rec = records[idx]
-    witnesses = () if rec["relation"] == EQUAL else tuple(
-        Witness(w, rec["divergence_index"], rec["minimum_value"], rec["value"])
-        for w in winners)
+    witnesses = ()
+    if cand not in minima:
+        k, cand_value, winner_value = lex_divergence(cand, minima[0], kind)
+        witnesses = tuple(Witness(w, k, winner_value, cand_value) for w in winners)
     return Certificate(
         command, spec, cand_form, REFUTED if witnesses else VERIFIED, winners, witnesses,
         EXHAUSTIVE, len(members), _elapsed_ms(t0))
@@ -275,8 +275,8 @@ def cmd_check_duality(n: int, d: int, *, workers: int = 1) -> Certificate:
         return Certificate("duality", spec, None, VERIFIED, (), (), EXHAUSTIVE,
                            0, _elapsed_ms(t0), extra=extra)
     a_members = enumerate_regular(n, n - 1 - d, workers=workers)
-    lmin, _ = select_lex_minima(l_members, LAPLACIAN)
-    amin, _ = select_lex_minima(a_members, ADJACENCY)
+    lmin = select_lex_minima(l_members, LAPLACIAN)
+    amin = select_lex_minima(a_members, ADJACENCY)
     lset = sorted(to_graph6(g) for g in lmin)
     image = sorted(canonical_form(complement(g)) for g in amin)
     witnesses = tuple(

@@ -636,7 +636,7 @@ def ladder_level(n: int, m: int, k: int, *, workers: int = 1) -> list[Graph]:
     members minimizing the (j+1)-th Laplacian trace among level j. The first
     trace is 2m throughout, so level k is the class's lex minima at cutoff k."""
     members = enumerate_by_edges(n, m, workers=workers)
-    return select_lex_minima(members, LAPLACIAN, k)[0]
+    return select_lex_minima(members, LAPLACIAN, k)
 
 
 def nu_min_set(n: int, m: int, *, workers: int = 1) -> list[Graph]:

@@ -1,7 +1,7 @@
 """Exceptions shared across the toolkit.
 
 The CLI maps these onto exit codes: usage errors (ValueError and friends)
-exit 2, cap refusals exit 3, internal consistency faults exit 4.
+and OSError exit 2, cap refusals exit 3, internal consistency faults exit 4.
 """
 
 
@@ -22,4 +22,6 @@ class CapsExceededError(Exception):
 
 
 class InternalConsistencyError(Exception):
-    """Two independent evaluation paths disagreed; indicates a bug, never bad input."""
+    """A self-check failed: two routes disagreed, a forked task was lost, a
+    REFUTED certificate has no witness, a candidate is missing from its
+    class. Indicates a bug, never bad input."""

@@ -7,7 +7,7 @@ graphs whose sequences agree through n agree at every length.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InternalConsistencyError
 from .graphs import Graph
@@ -16,13 +16,14 @@ from .linalg import IntMatrix, adjacency_matrix, laplacian, trace_powers
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
 
-EQUAL = "EQUAL"
-GREATER = "GREATER"
-
 
 def _trace_prefix(g: Graph, kind: str, upto: int) -> tuple[int, ...]:
-    """Traces at indices 1..upto (at most 4) from the bitset rows alone, by
-    the identities that `select_lex_minima` names; no matrix is built."""
+    """Traces at indices 1..upto (at most 4) from the bitset rows alone; no
+    matrix is built. With c_ij = |N(i) & N(j)|:
+    tr A = 0, tr A^2 = 2m, tr A^3 = 6 tau, tr A^4 = sum_ij c_ij^2, and
+    tr L = sum d, tr L^2 = sum d^2 + sum d, tr L^3 = sum d^3 + 3 sum d^2 -
+    6 tau, tr L^4 = sum_ij (L^2)_ij^2 with (L^2)_ii = d_i^2 + d_i and
+    (L^2)_ij = c_ij - a_ij (d_i + d_j)."""
     if kind not in (ADJACENCY, LAPLACIAN):
         raise ValueError(f"unknown sequence kind {kind!r}")
     rows = g.rows
@@ -75,24 +76,28 @@ def gap_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
     return gaps
 
 
-def select_lex_minima(
-    graphs: Iterable[Graph], kind: str, cutoff: int | None = None,
-) -> tuple[list[Graph], list[dict]]:
-    """Lex-minimal members plus a per-graph divergence record.
+def _traces(g: Graph, kind: str, cutoff: int) -> Iterator[int]:
+    """The kind's traces at indices 1..cutoff, computed as they are pulled:
+    1..4 from `_trace_prefix`, then one product per index, from the fourth
+    power on. A stream dropped by index 4 builds no matrix."""
+    yield from _trace_prefix(g, kind, min(cutoff, 4))
+    if cutoff > 4:
+        m = (adjacency_matrix if kind == ADJACENCY else laplacian)(g)
+        power = m.mul(m)
+        power = power.mul(power)
+        for _ in range(4, cutoff):
+            power = power.mul(m)
+            yield power.trace()
 
-    Indices 1..min(4, cutoff) come from the bitset rows, with no matrix:
-    tr A = 0, tr A^2 = 2m, tr A^3 = 6 tau, tr A^4 = sum_ij c_ij^2, and
-    tr L = sum d, tr L^2 = sum d^2 + sum d, tr L^3 = sum d^3 + 3 sum d^2 -
-    6 tau, tr L^4 = sum_ij (L^2)_ij^2 with (L^2)_ii = d_i^2 + d_i and
-    (L^2)_ij = c_ij - a_ij (d_i + d_j), where c_ij = |N(i) & N(j)|. A member
-    whose prefix exceeds the least one is recorded as GREATER at
-    `divergence_index` k, the first index where the two differ, with its
-    `value` and the `minimum_value` there. The members still tied go on from
-    k = 5 by matrix products: each survivor's running power is multiplied
-    once per index, and those whose trace exceeds the least among the
-    survivors are recorded and dropped the same way. Selection stops at the
-    cutoff or as soon as one member is left. The members left are the
-    minima; their records are EQUAL with index and values None.
+
+def select_lex_minima(graphs: Iterable[Graph], kind: str,
+                      cutoff: int | None = None) -> list[Graph]:
+    """The members whose kind's trace sequence through the cutoff is
+    lexicographically least, in input order.
+
+    At each index every member still alive yields its next trace, and only
+    those at the least value stay. Selection stops at the cutoff or as soon
+    as one member is left.
     """
     pool = list(graphs)
     if not pool:
@@ -104,37 +109,26 @@ def select_lex_minima(
         cutoff = n
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    upto = min(cutoff, 4)
-    prefixes = [_trace_prefix(g, kind, upto) for g in pool]
-    least = min(prefixes)
-    records: list = [None] * len(pool)
-    for i, p in enumerate(prefixes):
-        if p != least:
-            k = next(k for k in range(upto) if p[k] != least[k])
-            records[i] = {"relation": GREATER, "divergence_index": k + 1,
-                          "value": p[k], "minimum_value": least[k]}
-    alive = [i for i, p in enumerate(prefixes) if p == least]
-    for k in range(5, cutoff + 1):
+    alive = [(g, _traces(g, kind, cutoff)) for g in pool]
+    for _ in range(cutoff):
+        values = [next(stream) for _, stream in alive]
+        low = min(values)
+        alive = [member for member, v in zip(alive, values) if v == low]
         if len(alive) == 1:
             break
-        if k == 5:  # the fourth powers of the members tied through k = 4
-            build = adjacency_matrix if kind == ADJACENCY else laplacian
-            mats = {i: build(pool[i]) for i in alive}
-            powers = {i: m.mul(m) for i, m in mats.items()}
-            powers = {i: p.mul(p) for i, p in powers.items()}
-        for i in alive:
-            powers[i] = powers[i].mul(mats[i])
-        values = {i: powers[i].trace() for i in alive}
-        low = min(values.values())
-        for i, v in values.items():
-            if v != low:
-                records[i] = {"relation": GREATER, "divergence_index": k,
-                              "value": v, "minimum_value": low}
-        alive = [i for i in alive if values[i] == low]
-    for i in alive:
-        records[i] = {"relation": EQUAL, "divergence_index": None,
-                      "value": None, "minimum_value": None}
-    return [pool[i] for i in alive], records
+    return [g for g, _ in alive]
+
+
+def lex_divergence(g: Graph, h: Graph, kind: str) -> tuple[int, int, int] | None:
+    """(k, g's trace, h's trace) at the first index k <= n where the two
+    kind's traces differ, or None when they agree through n."""
+    if g.n != h.n:
+        raise ValueError("graphs must share the vertex count")
+    pairs = zip(_traces(g, kind, g.n), _traces(h, kind, h.n))
+    for k, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            return k, a, b
+    return None
 
 
 def mixed_trace_identity_check(g: Graph, i: int, j: int) -> tuple[int, int, bool]:

@@ -121,7 +121,7 @@ def test_criterion_04_duality_sweep():
 
 def test_criterion_05_h_family_minima():
     for n in range(5, 11):
-        minima, _ = select_lex_minima(enumerate_regular(n, n - 5), ADJACENCY)
+        minima = select_lex_minima(enumerate_regular(n, n - 5), ADJACENCY)
         assert len(minima) == 1, n
         assert are_isomorphic(minima[0], h_family(n)), n
     assert are_isomorphic(h_family(10), complete_bipartite(5, 5))

@@ -10,7 +10,8 @@ import importlib
 import runpy
 from pathlib import Path
 
-from treeopt.certify import cmd_check_duality, cmd_report_class
+from treeopt.certify import REFUTED, cmd_check_duality, cmd_report_class, cmd_verify_trace_minimal
+from treeopt.graphs import complete_graph, disjoint_union
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -61,4 +62,13 @@ def test_duality_settled_by_bitset_traces_makes_no_products():
     # multiplies no matrix at all
     cert, _, calls = _traced_calls(cmd_check_duality, 10, 4)
     assert cert.class_size == 60
+    assert calls["IntMatrix.mul"] == 0
+
+
+def test_refutation_settled_by_bitset_traces_makes_no_products():
+    # K5 + K5 loses to the winner of R_4(10) at k = 3, so neither the
+    # selection nor the witness multiplies a matrix
+    k5 = complete_graph(5)
+    cert, _, calls = _traced_calls(cmd_verify_trace_minimal, disjoint_union(k5, k5), 10, 4)
+    assert cert.verdict == REFUTED and cert.witnesses[0].divergence_index == 3
     assert calls["IntMatrix.mul"] == 0

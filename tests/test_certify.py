@@ -66,6 +66,24 @@ def test_trace_minimal_exhaustive_refuted():
     assert (w.opponent_value, w.candidate_value) == (0, 12)
 
 
+@pytest.mark.parametrize("mode, d, g6, winner, values", [
+    ("trace-min", 2, "Ihc?GC@@G", "IqGOOGA?W", ("0", "20")),  # C5 + C5
+    ("ltrace-min", 7, "IUZ~vz}}o", "I~~el\\^Nw", ("332480", "332500")),  # its complement
+])
+def test_witness_diverging_after_index_4(capsys, mode, d, g6, winner, values):
+    # the candidate ties the winner through k = 4, so its witness values
+    # come from matrix products
+    for workers in ("1", "2"):
+        rc = main(["verify", mode, "--n", "10", "--d", str(d), "--g6", g6,
+                   "--format", "structured", "--workers", workers])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "REFUTED" and payload["winners"] == [winner]
+        assert payload["witnesses"] == [{
+            "opponent": winner, "divergence_index": "5",
+            "opponent_value": values[0], "candidate_value": values[1]}]
+
+
 def test_trace_minimal_relabel_invariance():
     perm = [3, 5, 0, 4, 1, 2]
     relabeled = Graph.from_edges(

@@ -493,6 +493,17 @@ def test_fork_runner_refuses_more_tasks_than_one_byte_claims_hold(monkeypatch):
     assert forks == []
 
 
+def test_every_class_inside_the_caps_fits_in_one_byte_claims():
+    # `_forked` claims each task as one byte and refuses 256 or more, so no
+    # class the caps admit may split further (the largest split is 63 tasks,
+    # S(9,13))
+    specs = [GraphClassSpec("edges", n, m=m) for n in range(1, enumeration._EDGES_CAP + 1)
+             for m in range(n * (n - 1) // 2 + 1)]
+    specs += [GraphClassSpec("regular", n, d=d) for n in range(1, enumeration._REGULAR_CAP + 1)
+              for d in range(n)]
+    assert max(len(_class_tasks(spec)) for spec in specs) < 256
+
+
 def test_a_child_that_dies_mid_task_is_an_internal_fault(split_worker):
     tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
     split_worker(lambda task, row: os._exit(0), enumeration._worker)

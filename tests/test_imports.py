@@ -104,8 +104,9 @@ LIBRARY_API = {
 
 
 def unread_public_names(sources: dict[str, str], allowed: set[str]) -> list[str]:
-    """Public module-level functions and classes, and public methods of public
-    classes, that no module in `sources` reads and `allowed` does not list.
+    """Public module-level functions, classes and assigned names (constants,
+    namedtuple types), and public methods of public classes, that no module
+    in `sources` reads and `allowed` does not list.
 
     Reads are counted as in `unused_private_names`. A method is reported and
     allowed as `Class.method`.
@@ -115,16 +116,21 @@ def unread_public_names(sources: dict[str, str], allowed: set[str]) -> list[str]
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(n.id, n.id, node.lineno) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
                 continue
-            defined = [(node.name, node.name, node.lineno)]
             if isinstance(node, ast.ClassDef):
                 defined += [(f"{node.name}.{m.name}", m.name, m.lineno) for m in node.body
                             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not m.name.startswith("_")]
             found += [f"{module} line {line}: {label}" for label, name, line in defined
-                      if name not in read and label not in allowed]
+                      if not name.startswith("_") and name not in read
+                      and label not in allowed]
     return found
 
 
@@ -140,6 +146,19 @@ def test_checker_flags_an_unread_public_name():
     assert unread_public_names(sources, set()) == [
         "a.py line 8: Box.spare", "a.py line 16: helper", "b.py line 8: orphan"]
     assert unread_public_names(sources, {"Box.spare", "helper", "orphan"}) == []
+
+
+def test_checker_flags_an_unread_public_assignment():
+    sources = {
+        "a.py": ("from collections import namedtuple\n\n"
+                 "LIMIT = 3\nSPARE, _HIDDEN, __all__ = 4, 5, []\n"
+                 "Pair = namedtuple('Pair', 'x y')\nIdle = namedtuple('Idle', 'z')\n"
+                 "WIDTH: int = 2\n"),
+        "b.py": "import a\n\n\ndef _use():\n    return a.Pair(a.LIMIT, a.WIDTH)\n",
+    }
+    assert unread_public_names(sources, set()) == [
+        "a.py line 4: SPARE", "a.py line 6: Idle"]
+    assert unread_public_names(sources, {"SPARE", "Idle"}) == []
 
 
 def test_no_unread_public_names():

@@ -22,6 +22,7 @@ from treeopt.sequences import (
     degree_power_floor,
     gap_sequence,
     laplacian_sequence,
+    lex_divergence,
     mixed_trace_identity_check,
     select_lex_minima,
 )
@@ -102,22 +103,18 @@ def test_degree_power_floor():
 
 
 def test_select_lex_minima_adjacency():
-    minima, records = select_lex_minima([cycle_graph(6), two_c3], ADJACENCY)
-    assert minima == [cycle_graph(6)]
-    assert records[0]["relation"] == "EQUAL"
-    assert records[1] == {"relation": "GREATER", "divergence_index": 3,
-                          "value": 12, "minimum_value": 0}
+    assert select_lex_minima([cycle_graph(6), two_c3], ADJACENCY) == [cycle_graph(6)]
+    assert lex_divergence(cycle_graph(6), cycle_graph(6), ADJACENCY) is None
+    assert lex_divergence(two_c3, cycle_graph(6), ADJACENCY) == (3, 12, 0)
 
 
 def test_select_lex_minima_laplacian():
-    minima, records = select_lex_minima([cycle_graph(6), two_c3], LAPLACIAN)
-    assert minima == [two_c3]
-    assert records[0]["divergence_index"] == 3
-    assert records[0]["value"] == 120 and records[0]["minimum_value"] == 108
+    assert select_lex_minima([cycle_graph(6), two_c3], LAPLACIAN) == [two_c3]
+    assert lex_divergence(cycle_graph(6), two_c3, LAPLACIAN) == (3, 120, 108)
 
 
 def test_select_lex_minima_keeps_ties():
-    minima, _ = select_lex_minima([cycle_graph(5), cycle_graph(5)], ADJACENCY)
+    minima = select_lex_minima([cycle_graph(5), cycle_graph(5)], ADJACENCY)
     assert len(minima) == 2
 
 
@@ -131,26 +128,29 @@ def test_select_lex_minima_validation():
     for cutoff in (0, -1):
         with pytest.raises(ValueError):
             select_lex_minima([cycle_graph(5), path_graph(5)], LAPLACIAN, cutoff)
+    with pytest.raises(ValueError):
+        lex_divergence(cycle_graph(4), cycle_graph(5), ADJACENCY)
+    with pytest.raises(ValueError):
+        lex_divergence(cycle_graph(5), path_graph(5), "spectral")
 
 
 def _reference_lex_minima(pool, kind, cutoff=None):
     """Full sequences for every member, each compared with the overall least
-    at the first index where the two differ."""
+    at the first index where the two differ: the minima, and per member None
+    or (that index, its value, the least value there)."""
     sequence = adjacency_sequence if kind == ADJACENCY else laplacian_sequence
     seqs = [sequence(g, cutoff or g.n) for g in pool]
     least = min(seqs)
-    minima, records = [], []
+    minima, divergences = [], []
     for g, seq in zip(pool, seqs):
         k = next((i for i, (a, b) in enumerate(zip(seq, least), start=1) if a != b), None)
         if k is None:
             minima.append(g)
-            records.append({"relation": "EQUAL", "divergence_index": None,
-                            "value": None, "minimum_value": None})
+            divergences.append(None)
         else:
             assert seq[k - 1] > least[k - 1]
-            records.append({"relation": "GREATER", "divergence_index": k,
-                            "value": seq[k - 1], "minimum_value": least[k - 1]})
-    return minima, records
+            divergences.append((k, seq[k - 1], least[k - 1]))
+    return minima, divergences
 
 
 def test_select_lex_minima_matches_full_sequences():
@@ -168,7 +168,10 @@ def test_select_lex_minima_matches_full_sequences():
         if not pool:
             continue  # odd degree sum
         for kind in (ADJACENCY, LAPLACIAN):
-            assert select_lex_minima(pool, kind) == _reference_lex_minima(pool, kind)
+            minima, divergences = _reference_lex_minima(pool, kind)
+            assert select_lex_minima(pool, kind) == minima
+            for g, want in zip(pool, divergences):
+                assert lex_divergence(g, minima[0], kind) == want
             checked += len(pool)
     # regular classes n <= 8, every graph on 6 vertices, R_2(10) and R_7(10)
     assert checked == 2 * (48 + 156 + 5 + 5)
@@ -177,12 +180,10 @@ def test_select_lex_minima_matches_full_sequences():
 def test_select_lex_minima_one_member_and_short_cutoffs():
     pool = enumerate_regular(8, 3)
     for kind in (ADJACENCY, LAPLACIAN):
-        assert select_lex_minima(pool[:1], kind) == ([pool[0]], [
-            {"relation": "EQUAL", "divergence_index": None, "value": None,
-             "minimum_value": None}])
+        assert select_lex_minima(pool[:1], kind) == [pool[0]]
         for cutoff in (1, 2, 3, 4, 5):
             assert (select_lex_minima(pool, kind, cutoff)
-                    == _reference_lex_minima(pool, kind, cutoff))
+                    == _reference_lex_minima(pool, kind, cutoff)[0])
 
 
 def test_mixed_trace_identity_regular():

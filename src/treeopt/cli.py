@@ -36,7 +36,7 @@ from .enumeration import (
     enumerate_class,
     spool_class,
 )
-from .errors import CapsExceededError, Graph6Error, InternalConsistencyError
+from .errors import CapsExceededError, InternalConsistencyError
 from .graphs import complement, extend_g0, from_graph6, h_family, join_power, to_graph6
 from .linalg import spanning_tree_count
 from .sequences import adjacency_sequence, gap_sequence, laplacian_sequence
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         code, structured, text = ns.func(ns, _workers(ns))
         sys.stdout.write(structured() if ns.format == "structured" else text())
         return code
-    except (Graph6Error, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CapsExceededError as e:

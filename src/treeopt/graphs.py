@@ -60,36 +60,12 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
 
     @property
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    out.append((i, j))
-                r >>= 1
-                j += 1
-        return out
-
-    def neighbors(self, v: int) -> list[int]:
-        r, out, j = self.rows[v], [], 0
-        while r:
-            if r & 1:
-                out.append(j)
-            r >>= 1
-            j += 1
-        return out
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex i becomes perm[i]."""
@@ -124,38 +100,40 @@ class Graph:
 
 def from_graph6(text: str) -> Graph:
     data = text.strip()
+    lead = len(text) - len(text.lstrip())  # offsets count from the caller's text
     if not data:
-        raise Graph6Error("empty graph6 string", 0)
+        raise Graph6Error("empty graph6 string", lead)
     for off, ch in enumerate(data):
         if not "?" <= ch <= "~":
-            raise Graph6Error(f"character {ch!r} outside graph6 range", off)
+            raise Graph6Error(f"character {ch!r} outside graph6 range", lead + off)
     raw = data.encode("ascii")
     n = raw[0] - 63
     if n == 63:
         # long-form marker '~'; only the short form (n <= 62) is supported
         raise UnsupportedSizeError("long-form graph6 (n > 62) not supported")
     if n == 0:
-        raise Graph6Error("graph6 order 0 not supported", 0)
+        raise Graph6Error("graph6 order 0 not supported", lead)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(raw) - 1 < nbytes:
-        raise Graph6Error(f"graph6 body too short, need {nbytes} bytes", len(raw))
+        raise Graph6Error(f"graph6 body too short, need {nbytes} bytes", lead + len(raw))
     if len(raw) - 1 > nbytes:
-        raise Graph6Error("trailing garbage after graph6 body", 1 + nbytes)
+        raise Graph6Error("trailing garbage after graph6 body", lead + 1 + nbytes)
+    body = 0
+    for c in raw[1:]:
+        body = body << 6 | c - 63
+    pad = 6 * nbytes - nbits
+    if body & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", lead + nbytes)  # the last body byte
+    # the first pair's bit is the highest, pairs in to_graph6's order
+    bit = nbits + pad
     rows = [0] * n
-    bit = 0
-    for off in range(nbytes):
-        group = raw[1 + off] - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise Graph6Error("nonzero padding bits", 1 + off)
-                continue
-            if group >> k & 1:
-                i, j = _pair_from_colmajor(bit)
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if body >> bit & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
     return Graph(n, rows)
 
 
@@ -174,15 +152,6 @@ def to_graph6(g: Graph) -> str:
         group <<= 6 - len(chunk)
         out.append(chr(63 + group))
     return "".join(out)
-
-
-def _pair_from_colmajor(bit: int) -> tuple[int, int]:
-    # bit index -> (i, j), order (0,1),(0,2),(1,2),(0,3),...
-    j = 1
-    while j * (j - 1) // 2 + j <= bit:
-        j += 1
-    i = bit - j * (j - 1) // 2
-    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +221,11 @@ def extend_g0(g0: Graph, d: int, p: int, q: int) -> Graph:
         raise ValueError("d must be a positive integer")
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
-    bad = [v for v in range(g0.n) if g0.degree(v) not in (d - 1, d)]
+    degs = g0.degrees()
+    bad = [v for v in range(g0.n) if degs[v] not in (d - 1, d)]
     if bad:
         raise ValueError(
-            f"vertex {bad[0]} has degree {g0.degree(bad[0])}, need d-1={d - 1} or d={d}")
+            f"vertex {bad[0]} has degree {degs[bad[0]]}, need d-1={d - 1} or d={d}")
     out = g0
     for _ in range(p):
         out = disjoint_union(out, complete_graph(d + 1))
@@ -369,31 +339,36 @@ def is_clique_union(g: Graph) -> bool:
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, GIRTH_INFINITE if acyclic."""
+    """Length of a shortest cycle, GIRTH_INFINITE if acyclic.
+
+    One breadth-first search per root, a level at a time on the bitset rows.
+    At depth t, an edge inside the level closes a walk of length 2t+1, and a
+    new vertex reached from two vertices of the level one of length 2t+2;
+    each holds a cycle at most that long. From a vertex of a shortest cycle
+    the search finds that cycle's length, so the least length over all roots
+    is the girth. A root stops once 2t+1 reaches the best length so far.
+    """
+    rows = g.rows
     best = GIRTH_INFINITE
-    nbrs = [g.neighbors(x) for x in range(g.n)]
-    for u, v in g.edges():
-        # shortest u-v path avoiding the edge uv, plus that edge
-        dist = {u: 0}
-        frontier = [u]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for x in frontier:
-                for y in nbrs[x]:
-                    if x == u and y == v:
-                        continue
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        if y == v:
-                            found = dist[y]
-                            break
-                        nxt.append(y)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None and found + 1 < best:
-            best = found + 1
+    for root in range(g.n):
+        seen = level = 1 << root
+        odd = 1  # 2t+1 at depth t
+        while level and odd < best:
+            reached = twice = 0
+            r = level
+            while r:
+                low = r & -r
+                row = rows[low.bit_length() - 1]
+                twice |= reached & row
+                reached |= row
+                r ^= low
+            if reached & level:  # an edge inside the level
+                best = odd
+            elif twice & ~seen:  # a new vertex reached twice
+                best = odd + 1
+            level = reached & ~seen
+            seen |= level
+            odd += 2
     return best
 
 
@@ -405,19 +380,24 @@ def girth_and_cycles(g: Graph, max_len: int) -> tuple[int | float, tuple[int, ..
     """
     if not 3 <= max_len <= g.n:
         raise ValueError(f"max_len must be in 3..{g.n}")
+    rows = g.rows
     counts = [0] * (max_len + 1)
-    nbrs = [g.neighbors(v) for v in range(g.n)]
 
-    def extend(root: int, path_last: int, visited: int, length: int):
-        for w in nbrs[path_last]:
-            if w == root and length >= 3:
-                counts[length] += 1
-            if w > root and not visited >> w & 1 and length < max_len:
-                extend(root, w, visited | 1 << w, length + 1)
+    def extend(root_bit: int, last: int, visited: int, length: int):
+        row = rows[last]
+        if row & root_bit and length >= 3:
+            counts[length] += 1
+        if length < max_len:
+            r = row & ~visited
+            while r:
+                low = r & -r
+                extend(root_bit, low.bit_length() - 1, visited | low, length + 1)
+                r ^= low
 
     for root in range(g.n):
-        # paths stay above root; each cycle found twice (two directions)
-        extend(root, root, 1 << root, 1)
+        # the vertices up to root start visited, so paths stay above root;
+        # each cycle is found twice (two directions)
+        extend(1 << root, root, (2 << root) - 1, 1)
     cyc = tuple(c // 2 for c in counts[3:max_len + 1])
     gir = girth(g)
     return gir, cyc

@@ -49,7 +49,8 @@ def brute_spanning_trees(g: Graph) -> int:
     if g.n == 1:
         return 1
     count = 0
-    for subset in combinations(g.edges(), g.n - 1):
+    edges = [(u, v) for u, v in all_pairs(g.n) if g.rows[u] >> v & 1]
+    for subset in combinations(edges, g.n - 1):
         adj = {v: [] for v in range(g.n)}
         for u, v in subset:
             adj[u].append(v)

@@ -11,7 +11,7 @@ import runpy
 from pathlib import Path
 
 from treeopt.certify import REFUTED, cmd_check_duality, cmd_report_class, cmd_verify_trace_minimal
-from treeopt.graphs import complete_graph, disjoint_union
+from treeopt.graphs import complete_graph, disjoint_union, from_graph6
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -72,3 +72,14 @@ def test_refutation_settled_by_bitset_traces_makes_no_products():
     cert, _, calls = _traced_calls(cmd_verify_trace_minimal, disjoint_union(k5, k5), 10, 4)
     assert cert.verdict == REFUTED and cert.witnesses[0].divergence_index == 3
     assert calls["IntMatrix.mul"] == 0
+
+
+def test_girth_spans_book_the_verify_path():
+    # `graphs.girth_s` keeps measuring the same work: the girth certificate
+    # takes the girth of each of the 21 members of R_3(10) for the Petersen
+    # graph; in R_3(8) it takes 6 girths, then the cycle census of the two
+    # girth-4 members, each of which takes the girth once more
+    _, _, calls = _traced_calls(cmd_verify_trace_minimal, from_graph6("IheA@GUAo"), 10, 3)
+    assert (calls["girth"], calls["girth_and_cycles"]) == (21, 0)
+    _, _, calls = _traced_calls(cmd_verify_trace_minimal, from_graph6("G@Umf?"), 8, 3)
+    assert (calls["girth"], calls["girth_and_cycles"]) == (8, 2)

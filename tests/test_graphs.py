@@ -70,8 +70,6 @@ def test_accessors():
     assert g.n == 4 and g.m == 3
     assert g.degrees() == (1, 2, 2, 1)
     assert g.rows[1] >> 0 & 1 and not g.rows[0] >> 2 & 1
-    assert g.neighbors(1) == [0, 2]
-    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_relabel_moves_edges():
@@ -124,6 +122,9 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error):
         from_graph6("B!")  # character below the printable range
     with pytest.raises(Graph6Error) as ei:
+        from_graph6("  B!")  # offsets count the leading whitespace
+    assert "offset 3" in str(ei.value) and ei.value.offset == 3
+    with pytest.raises(Graph6Error) as ei:
         from_graph6("B\u00e9")  # not ASCII: must not be read as '?'
     assert "offset 1" in str(ei.value)
     with pytest.raises(UnsupportedSizeError):
@@ -133,8 +134,9 @@ def test_graph6_errors_carry_offsets():
 def test_graph6_rejects_nonzero_padding():
     # n=2 stores 1 of 6 bits; flipping a pad bit must be rejected
     bad = "A" + chr(63 + 0b000001)
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as ei:
         from_graph6(bad)
+    assert ei.value.offset == 1  # the last body byte
 
 
 @settings(max_examples=200)
@@ -162,7 +164,7 @@ def test_complement_involution():
 
 def test_disjoint_union_shifts_labels():
     g = disjoint_union(complete_graph(2), complete_graph(2))
-    assert g.edges() == [(0, 1), (2, 3)]
+    assert g == Graph.from_edges(4, [(0, 1), (2, 3)])
 
 
 def test_join_adds_all_cross_edges():
@@ -262,6 +264,21 @@ def test_girth_values():
     assert girth(complete_graph(4)) == 3
     assert girth(complete_bipartite(2, 3)) == 4
     assert girth(h_family(8)) == 4
+
+
+def test_girth_against_brute_force(classes_by_n):
+    # the least length with a cycle, over every class on up to 7 vertices
+    for n, pool in classes_by_n.items():
+        for g in pool:
+            least = next((L for L in range(3, n + 1) if brute_cycle_count(g, L) > 0), math.inf)
+            assert girth(g) == least, to_graph6(g)
+
+
+def test_cycle_census_against_brute_force(classes_by_n):
+    for n in range(3, 7):
+        for g in classes_by_n[n]:
+            expect = tuple(brute_cycle_count(g, L) for L in range(3, n + 1))
+            assert girth_and_cycles(g, n)[1] == expect, to_graph6(g)
 
 
 def test_girth_and_cycles_against_brute_force():

@@ -89,65 +89,66 @@ def canonical_relabel(g: Graph) -> Graph:
     n = g.n
     if n > CANONICAL_HARD_CAP:
         raise UnsupportedSizeError(f"canonical form capped at {CANONICAL_HARD_CAP} vertices")
-    adj = g.rows
-    best_code: tuple = ()
-    best_path: tuple = ()
-
-    def dfs(cells: list[int], code: tuple, path: tuple) -> int:
-        # returns the level to go on from: n carries on, less backs up
-        nonlocal best_code, best_path
-        level = len(path)
-        if level == n:
-            if code == best_code:
-                return next(i for i in range(n) if path[i] != best_path[i])
-            best_code, best_path = code, path
-            return n
-        options = []
-        seen = set()
-        pool = cells[0]
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            row = adj[bit.bit_length() - 1]
-            closed = ~(row | bit)
-            if row in seen or closed in seen:
-                continue
-            seen.add(row)
-            seen.add(closed)
-            val = 0
-            for cell in cells:
-                cell &= ~bit
-                size = cell.bit_count()
-                k = (cell & row).bit_count()
-                val = (val << size) | (((1 << k) - 1) << (size - k))
-            options.append((val, bit))
-        top = max(val for val, _ in options)
-        code += (top,)
-        if code < best_code[:level + 1]:
-            return n
-        for val, bit in options:
-            if val != top:
-                continue
-            v = bit.bit_length() - 1
-            row = adj[v]
-            split = []
-            for cell in cells:
-                cell &= ~bit
-                nb = cell & row
-                if nb:
-                    split.append(nb)
-                if cell ^ nb:
-                    split.append(cell ^ nb)
-            back = dfs(split, code, path + (v,))
-            if back < level:
-                return back
-        return n
-
-    dfs([(1 << n) - 1], (), ())
+    best = [(), ()]
+    _canonical_search(g.rows, [(1 << n) - 1], (), (), best)
     perm = [0] * n
-    for new, old in enumerate(best_path):
+    for new, old in enumerate(best[1]):
         perm[old] = new
     return g.relabel(perm)
+
+
+def _canonical_search(adj: Sequence[int], cells: list[int], code: tuple, path: tuple,
+                      best: list) -> int:
+    """One node of `canonical_relabel`'s search, below the labels `path`
+    whose rows give `code`; `best` holds the best complete code and its
+    path so far. Returns the level to go on from: n carries on, less backs up."""
+    n = len(adj)
+    level = len(path)
+    if level == n:
+        if code == best[0]:
+            return next(i for i in range(n) if path[i] != best[1][i])
+        best[:] = code, path
+        return n
+    options = []
+    seen = set()
+    pool = cells[0]
+    while pool:
+        bit = pool & -pool
+        pool ^= bit
+        row = adj[bit.bit_length() - 1]
+        closed = ~(row | bit)
+        if row in seen or closed in seen:
+            continue
+        seen.add(row)
+        seen.add(closed)
+        val = 0
+        for cell in cells:
+            cell &= ~bit
+            size = cell.bit_count()
+            k = (cell & row).bit_count()
+            val = (val << size) | (((1 << k) - 1) << (size - k))
+        options.append((val, bit))
+    top = max(val for val, _ in options)
+    code += (top,)
+    if code < best[0][:level + 1]:
+        return n
+    for val, bit in options:
+        if val != top:
+            continue
+        v = bit.bit_length() - 1
+        row = adj[v]
+        split = []
+        for cell in cells:
+            cell &= ~bit
+            nb = cell & row
+            if nb:
+                split.append(nb)
+            if cell ^ nb:
+                split.append(cell ^ nb)
+        back = _canonical_search(adj, split, code, path + (v,), best)
+        if back < level:
+            return back
+    return n
 
 
 def canonical_form(g: Graph) -> str:
@@ -195,99 +196,96 @@ def _row_search(n: int, adj: Sequence[int], rowvals: Sequence[int], k: int,
     newest = 1 << k
     if k == n - 2:
         newest |= 1 << k + 1
-    cap = (1 << newest.bit_length()) - 1
-    stop = k + 1
     out: list = []
-
-    def discrete(level: int, cells: list[int]) -> bool:
-        # singleton cells fix the rest of the labeling: compare its rows
-        weight = [0] * n
-        rest = 0
-        for label, cell in enumerate(cells, level):
-            weight[cell.bit_length() - 1] = 1 << (n - 1 - label)
-            rest |= cell
-        for label in range(level, stop):
-            bit = cells[label - level]
-            if not bit & cap:
-                break
-            rest ^= bit
-            nb = adj[bit.bit_length() - 1] & rest
-            val = 0
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                val |= weight[low.bit_length() - 1]
-            if val != rowvals[label]:
-                return val > rowvals[label]
-        else:
-            label = stop
-        # labels level..label-1 tie: keep the rest as a discrete node at label
-        out.append((label, cells[label - level:], None, None))
-        return False
-
-    def dfs(level: int, cells: list[int], needs=None, seen=None, pool: int = 0) -> bool:
-        if needs is None:
-            if level == stop:
-                out.append((level, cells, None, None))
-                return False
-            if len(cells) == n - level:
-                return discrete(level, cells)
-            target = rowvals[level]
-            width = n - 1 - level
-            # per cell: (cell, neighbours a tie needs). `_children` packs each
-            # row into the first vertices of each of its cells, and on a tied
-            # path the search's cells have those cells' sizes, so every target
-            # segment is 1..10..0: its popcount is all a tie must match
-            needs = []
-            first = True
-            for cell in cells:
-                size = cell.bit_count() - first
-                first = False
-                width -= size
-                needs.append((cell, (target >> width & ((1 << size) - 1)).bit_count()))
-            seen = set()
-            pool = cells[0] & cap
-        while pool:
-            bit = pool & -pool
-            pool ^= bit
-            row = adj[bit.bit_length() - 1]
-            for cell, need in needs:
-                has = (cell & row).bit_count()
-                if has > need:
-                    return True
-                if has < need:
-                    break
-            else:
-                # a twin compares the same, so the check waits for a tie
-                closed = ~(row | bit)
-                if row in seen or closed in seen:
-                    continue
-                seen.add(row)
-                seen.add(closed)
-                split = []
-                for cell in cells:
-                    cell &= ~bit
-                    nb = cell & row
-                    if nb:
-                        split.append(nb)
-                    if cell ^ nb:
-                        split.append(cell ^ nb)
-                if dfs(level + 1, split):
-                    return True
-        if cells[0] >> k + 1:
-            out.append((level, cells, needs, seen))
-        return False
-
+    search = (n, adj, rowvals, k + 1, (1 << newest.bit_length()) - 1, out)
     for level, cells, needs, seen in record:
-        if needs is None:
-            if dfs(level, cells):
-                return None
-        elif cells[0] & newest:
-            if dfs(level, cells, needs, set(seen), cells[0] & newest):
-                return None
-        elif cells[0] >> k + 1:
-            out.append((level, cells, needs, seen))
+        if _row_dfs(search, level, cells, needs, seen, cells[0] & newest):
+            return None
     return out
+
+
+def _row_dfs(search: tuple, level: int, cells: list[int], needs=None, seen=None,
+             pool: int = 0) -> bool:
+    """One node of `_row_search`'s search, which `search` holds as (n, adj,
+    rowvals, stop, cap, out): is the row code beaten below it? A new node
+    has `needs` None; a resumed one tries the candidates in `pool`."""
+    n, adj, rowvals, stop, cap, out = search
+    if needs is None:
+        if level == stop:
+            out.append((level, cells, None, None))
+            return False
+        if len(cells) == n - level:
+            # singleton cells fix the rest of the labeling: compare its rows
+            weight = [0] * n
+            rest = 0
+            for label, cell in enumerate(cells, level):
+                weight[cell.bit_length() - 1] = 1 << (n - 1 - label)
+                rest |= cell
+            for label in range(level, stop):
+                bit = cells[label - level]
+                if not bit & cap:
+                    break
+                rest ^= bit
+                nb = adj[bit.bit_length() - 1] & rest
+                val = 0
+                while nb:
+                    low = nb & -nb
+                    nb ^= low
+                    val |= weight[low.bit_length() - 1]
+                if val != rowvals[label]:
+                    return val > rowvals[label]
+            else:
+                label = stop
+            # labels level..label-1 tie: keep the rest as a discrete node at label
+            out.append((label, cells[label - level:], None, None))
+            return False
+        target = rowvals[level]
+        width = n - 1 - level
+        # per cell: (cell, neighbours a tie needs). `_children` packs each
+        # row into the first vertices of each of its cells, and on a tied
+        # path the search's cells have those cells' sizes, so every target
+        # segment is 1..10..0: its popcount is all a tie must match
+        needs = []
+        first = True
+        for cell in cells:
+            size = cell.bit_count() - first
+            first = False
+            width -= size
+            needs.append((cell, (target >> width & ((1 << size) - 1)).bit_count()))
+        seen = set()
+        pool = cells[0] & cap
+    elif pool:
+        seen = set(seen)  # the record's copy stays as it was for the other children
+    while pool:
+        bit = pool & -pool
+        pool ^= bit
+        row = adj[bit.bit_length() - 1]
+        for cell, need in needs:
+            has = (cell & row).bit_count()
+            if has > need:
+                return True
+            if has < need:
+                break
+        else:
+            # a twin compares the same, so the check waits for a tie
+            closed = ~(row | bit)
+            if row in seen or closed in seen:
+                continue
+            seen.add(row)
+            seen.add(closed)
+            split = []
+            for cell in cells:
+                cell &= ~bit
+                nb = cell & row
+                if nb:
+                    split.append(nb)
+                if cell ^ nb:
+                    split.append(cell ^ nb)
+            if _row_dfs(search, level + 1, split):
+                return True
+    if cells[0] >> stop:
+        out.append((level, cells, needs, seen))
+    return False
 
 
 def _erdos_gallai(pairs: list[tuple[int, int]]) -> bool:

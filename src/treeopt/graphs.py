@@ -382,22 +382,23 @@ def girth_and_cycles(g: Graph, max_len: int) -> tuple[int | float, tuple[int, ..
         raise ValueError(f"max_len must be in 3..{g.n}")
     rows = g.rows
     counts = [0] * (max_len + 1)
-
-    def extend(root_bit: int, last: int, visited: int, length: int):
-        row = rows[last]
-        if row & root_bit and length >= 3:
-            counts[length] += 1
-        if length < max_len:
+    for root in range(g.n):
+        # paths as (last vertex's row, visited, length once extended); the
+        # vertices up to root start visited, so paths stay above root, and
+        # each cycle is found twice (two directions)
+        root_bit = 1 << root
+        stack = [(rows[root], (2 << root) - 1, 2)]
+        while stack:
+            row, visited, length = stack.pop()
             r = row & ~visited
             while r:
                 low = r & -r
-                extend(root_bit, low.bit_length() - 1, visited | low, length + 1)
                 r ^= low
-
-    for root in range(g.n):
-        # the vertices up to root start visited, so paths stay above root;
-        # each cycle is found twice (two directions)
-        extend(1 << root, root, (2 << root) - 1, 1)
+                nxt = rows[low.bit_length() - 1]
+                if nxt & root_bit and length >= 3:
+                    counts[length] += 1
+                if length < max_len:
+                    stack.append((nxt, visited | low, length + 1))
     cyc = tuple(c // 2 for c in counts[3:max_len + 1])
     gir = girth(g)
     return gir, cyc

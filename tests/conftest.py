@@ -14,7 +14,7 @@ import os
 import select
 import signal
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -81,31 +81,43 @@ def brute_induced_p3(g: Graph) -> int:
     return count
 
 
+def cycle_types(n: int, largest: int | None = None):
+    """The partitions of n, as non-increasing lists of parts."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - part, part):
+            yield [part] + rest
+
+
 def burnside_counts(n: int) -> list[int]:
     """Iso-class counts of n-vertex graphs by edge count, via the cycle
     index of the pair action: [x^m] (1/n!) sum over permutations of
-    prod over edge-cycles (1 + x^len)."""
-    npairs = n * (n - 1) // 2
-    total = [0] * (npairs + 1)
-    for perm in permutations(range(n)):
-        seen = set()
+    prod over edge-cycles (1 + x^len). Permutations of one cycle type give
+    the same product, so the sum runs over cycle types, each weighted by
+    its class size n!/prod k^(m_k) m_k!. A cycle of length k splits its
+    own pairs into (k-1)//2 cycles of length k, plus one of length k/2
+    when k is even; two cycles of lengths a and b split the pairs across
+    them into gcd(a, b) cycles of length lcm(a, b)."""
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for parts in cycle_types(n):
+        lengths = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2) + ([a // 2] if a % 2 == 0 else [])
+            for b in parts[i + 1:]:
+                lengths += [a * b // gcd(a, b)] * gcd(a, b)
         poly = [1]
-        for e in all_pairs(n):
-            if e in seen:
-                continue
-            length = 0
-            cur = e
-            while cur not in seen:
-                seen.add(cur)
-                length += 1
-                a, b = perm[cur[0]], perm[cur[1]]
-                cur = (a, b) if a < b else (b, a)
+        for length in lengths:
             new = poly + [0] * length
             for idx, c in enumerate(poly):
                 new[idx + length] += c
             poly = new
+        size = factorial(n)
+        for k in set(parts):
+            size //= k ** parts.count(k) * factorial(parts.count(k))
         for idx, c in enumerate(poly):
-            total[idx] += c
+            total[idx] += size * c
     fact = factorial(n)
     assert all(v % fact == 0 for v in total)
     return [v // fact for v in total]

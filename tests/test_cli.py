@@ -318,6 +318,20 @@ def test_threshold_too_large_to_print_is_usage_error(capsys, fmt):
     assert captured.err == "error: n0 is too large to print for --c 100000\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no limit on int-to-str digits in this interpreter")
+def test_threshold_near_the_digit_limit(capsys):
+    # with d = 1, n0 = 2 + 2**(c + 2): the early refusal needs c + 2 > 10/3
+    # of the limit, and str() already refuses a little below that
+    limit = sys.get_int_max_str_digits()
+    c = limit * 10 // 3 - 2
+    assert main(["threshold", "--g0-order", "1", "--d", "1", "--c", str(c)]) == 2
+    assert capsys.readouterr().err == f"error: n0 is too large to print for --c {c}\n"
+    c = limit * 3 - 2
+    assert main(["threshold", "--g0-order", "1", "--d", "1", "--c", str(c)]) == 0
+    assert capsys.readouterr().out == f"n0 = {2 + 2 ** (c + 2)}\n"
+
+
 def test_duality_structured(capsys):
     assert main(["duality", "--n", "6", "--d", "2", "--format", "structured"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -386,11 +400,28 @@ def test_help_and_unknown_commands(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _program(*args: str) -> subprocess.CompletedProcess:
+def _program(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run `python -m treeopt.cli` in a fresh interpreter, site hooks and all."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no limit on int-to-str digits in this interpreter")
+def test_threshold_refuses_a_huge_n0_before_computing_it():
+    # (2d)^(c+2) has about 10^9 bits here: computing it takes minutes, so the
+    # child runs under a 1 GiB address-space cap and a timeout
+    pytest.importorskip("resource")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from treeopt.cli import main\n"
+            "sys.exit(main(['threshold', '--g0-order', '3', '--d', '1000000000',"
+            " '--c', '30000000']))\n")
+    run = _program("-c", code, timeout=20)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "error: n0 is too large to print for --c 30000000\n"
 
 
 def test_program_run_freezes_the_import_time_heap():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeopt import enumeration
+from treeopt.certify import cmd_check_duality, cmd_report_class, cmd_verify_trace_minimal
 from treeopt.errors import CapsExceededError, InternalConsistencyError, UnsupportedSizeError
 from treeopt.graphs import (
     Graph,
@@ -21,6 +23,8 @@ from treeopt.graphs import (
     disjoint_union,
     empty_graph,
     from_graph6,
+    girth_and_cycles,
+    is_connected,
     path_graph,
     to_graph6,
 )
@@ -364,6 +368,8 @@ def test_canonical_hard_cap():
 # enumeration completeness: Burnside's lemma is the outside referee
 
 def test_edge_class_counts_match_burnside():
+    # the totals on 7, 8 and 9 vertices are the published ones (OEIS A000088)
+    assert sum(burnside_counts(7)) == 1044
     for n in range(1, 8):
         expect = burnside_counts(n)
         for m, want in enumerate(expect):
@@ -422,6 +428,56 @@ def test_known_class_sizes():
     assert [to_graph6(g) for g in enumerate_regular(6, 2)] == \
         sorted([canonical_form(cycle_graph(6)),
                 canonical_form(disjoint_union(cycle_graph(3), cycle_graph(3)))])
+
+
+def test_class_sizes_at_the_caps_match_published_counts():
+    # connected cubic and quartic graphs (OEIS A002851, A006820; Meringer,
+    # J. Graph Theory 30, 1999). A disconnected member is a union of smaller
+    # connected ones: K4 with one of the 5 cubic graphs on 8 vertices, two of
+    # the 2 on 6, or 3K4 make 9 cubic on 12; K5 with the octahedron makes 1
+    # quartic on 11; K5 with one of the 2 quartic on 7, or two octahedra, 3 on 12
+    for n, d, connected, disconnected in [(12, 3, 85, 9), (11, 4, 265, 1), (12, 4, 1544, 3)]:
+        members = enumerate_regular(n, d)
+        assert sum(map(is_connected, members)) == connected, (n, d)
+        assert len(members) == connected + disconnected, (n, d)
+    # and the complement bijection at n = 11
+    image = sorted(canonical_form(complement(g)) for g in enumerate_regular(11, 4))
+    assert image == [to_graph6(g) for g in enumerate_regular(11, 6)]
+
+
+def test_edge_class_sizes_at_the_cap_match_burnside():
+    expect = burnside_counts(9)
+    assert sum(expect) == 274668
+    for m, want in [(10, 1637), (12, 5995)]:
+        assert expect[m] == want
+        assert len(enumerate_by_edges(9, m)) == want, m
+
+
+def test_searches_leave_no_garbage():
+    # a recursive closure refers to itself through its cell, so each call of
+    # one leaves a cycle that only the collector frees; the searches are
+    # module-level functions and leave none
+    enumerate_regular(8, 3)
+    cmd_check_duality(8, 3)  # warm the package's lazy imports
+    petersen = from_graph6("IheA@GUAo")
+    calls = {
+        "S(8,12)": lambda: enumerate_by_edges(8, 12),
+        "R_4(10)": lambda: enumerate_regular(10, 4),
+        "complements": lambda: [canonical_form(complement(g)) for g in enumerate_regular(10, 4)],
+        "census": lambda: girth_and_cycles(petersen, 10),
+        "report": lambda: cmd_report_class(8, 12),
+        "duality": lambda: cmd_check_duality(10, 4),
+        "verify Petersen": lambda: cmd_verify_trace_minimal(petersen, 10, 3),
+        "verify G@Umf?": lambda: cmd_verify_trace_minimal(from_graph6("G@Umf?"), 8, 3),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_stream_metadata():

@@ -4,9 +4,11 @@ and every public name is read by the package or listed as library API.
 No linter is a dependency, so these are the unused-import and dead-name
 checks, on the standard library's `ast`. The import and public-name checks
 skip `__init__.py`: its imports are the package's exports, not uses.
-The last tests check that importing the CLI loads no standard-library
-module that only some runs need, and that a run at two workers never
-loads `multiprocessing`.
+A nested function that calls itself is flagged too: it refers to itself
+through its closure cell, so each call leaves a reference cycle that only
+the garbage collector frees. The last tests check that importing the CLI
+loads no standard-library module that only some runs need, and that a run
+at two workers never loads `multiprocessing`.
 """
 import ast
 import subprocess
@@ -166,6 +168,44 @@ def test_no_unread_public_names():
                if p.name != "__init__.py"}
     assert sources
     assert unread_public_names(sources, LIBRARY_API) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def recursive_closures(source: str) -> list[str]:
+    """Functions nested in another function whose body loads their own
+    name, as `outer.inner` with `outer` the nearest enclosing function."""
+    enclosing = {}
+    # ast.walk goes breadth first, so the nearest enclosing function is the
+    # last one to claim a nested function
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, FUNCTIONS):
+            for node in ast.walk(outer):
+                if node is not outer and isinstance(node, FUNCTIONS):
+                    enclosing[node] = outer
+    return [f"line {inner.lineno}: {outer.name}.{inner.name}"
+            for inner, outer in sorted(enclosing.items(), key=lambda kv: kv[0].lineno)
+            if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == inner.name
+                   for stmt in inner.body for n in ast.walk(stmt))]
+
+
+def test_checker_flags_a_recursive_closure():
+    source = ("def search(n):\n"
+              "    def dfs(k):\n        return k and dfs(k - 1)\n\n"
+              "    def receive(k):\n        return k\n\n"
+              "    return dfs(n) + receive(n)\n\n\n"
+              "def fact(n):\n    return n * fact(n - 1) if n else 1\n\n\n"
+              "def outer():\n    def middle():\n        def inner(k):\n"
+              "            return k and inner(k - 1)\n        return inner\n    return middle\n")
+    assert recursive_closures(source) == ["line 2: search.dfs", "line 17: middle.inner"]
+
+
+def test_no_recursive_closures():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: recursive_closures(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # Standard-library modules that `import treeopt.cli` must not load: record

@@ -1,8 +1,10 @@
 """Simple undirected graphs on at most 62 vertices, bitset adjacency rows.
 
-Vertices are 0..n-1. A Graph is immutable and hashable; `rows[i]` is an int
-whose bit j is set iff ij is an edge. graph6 I/O covers the short form only,
-which is exactly the n <= 62 range supported here.
+Vertices are 0..n-1. A Graph is a namedtuple record (n, rows), so it is
+immutable and hashable, and its checks run on every build, `_replace` and
+unpickling included; `rows[i]` is an int whose bit j is set iff ij is an
+edge. graph6 I/O covers the short form only, which is exactly the n <= 62
+range supported here.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ MAX_VERTICES = 62
 GIRTH_INFINITE = math.inf  # acyclic graphs
 
 
-class Graph:
-    __slots__ = ("n", "rows")
+class Graph(namedtuple("Graph", "n rows")):
+    __slots__ = ()
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    def __new__(cls, n: int, rows: Sequence[int]):
         if not 1 <= n <= MAX_VERTICES:
             raise UnsupportedSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         rows = tuple(rows)
@@ -37,16 +39,11 @@ class Graph:
             for j in range(i + 1, n):
                 if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, n, rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor: the default
-        # protocol would restore the slots by assignment, which is refused
-        return Graph, (self.n, self.rows)
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
+        return cls(*iterable)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -84,12 +81,6 @@ class Graph:
                 j += 1
             rows[perm[i]] = ri
         return Graph(n, rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
 
     def __repr__(self):
         return f"Graph({self.n}, m={self.m})"
@@ -138,11 +129,11 @@ def from_graph6(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    n = g.n
+    n, rows = g.n, g.rows
     bits = []
     for j in range(1, n):
         for i in range(j):
-            bits.append(g.rows[i] >> j & 1)
+            bits.append(rows[i] >> j & 1)
     out = [chr(63 + n)]
     for k in range(0, len(bits), 6):
         group = 0
@@ -277,14 +268,15 @@ def degree_info(g: Graph) -> DegreeInfo:
 
 
 def count_triangles(g: Graph) -> int:
+    rows = g.rows
     total = 0
-    for i in range(g.n):
-        r = g.rows[i] >> (i + 1)
+    for i, ri in enumerate(rows):
+        r = ri >> (i + 1)
         j = i + 1
         while r:
             if r & 1:
                 above = ~((1 << (j + 1)) - 1)
-                total += (g.rows[i] & g.rows[j] & above).bit_count()
+                total += (ri & rows[j] & above).bit_count()
             r >>= 1
             j += 1
     return total

@@ -5,32 +5,36 @@ Products sum only over the nonzero entries of each column of the right
 factor, which saves work when that factor is sparse. In a trace power the
 right factor is A or L itself, with at most d + 1 nonzeros per column; a
 dense one, such as the (d+1)I - J of `mixed_trace_identity_check`, gains
-nothing. `IntMatrix` stays, not plain rows, because the benchmark books
-products at its `mul`.
+nothing. `IntMatrix` is a validated namedtuple record, as every value
+type in the package is: immutable, compared and hashed by its rows, and
+rebuilt through its check by pickle, copy and `_replace`. It stays a type,
+not plain rows, because the benchmark books products at its `mul`.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import InternalConsistencyError
 from .graphs import Graph, complement
 
 
-class IntMatrix:
-    __slots__ = ("order", "rows")
+class IntMatrix(namedtuple("IntMatrix", "rows")):
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here: keep the checks
+        return cls(*iterable)
 
-    def __reduce__(self):
-        return IntMatrix, (self.rows,)
+    @property
+    def order(self) -> int:
+        return len(self.rows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if other.order != self.order:
@@ -41,9 +45,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.order))
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:

@@ -48,12 +48,12 @@ def _trace_prefix(g: Graph, kind: str, upto: int) -> tuple[int, ...]:
 
 def adjacency_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
     """Traces of A^1..A^cutoff: entry k-1 is the trace at index k."""
-    return tuple(trace_powers(adjacency_matrix(g), cutoff))
+    return tuple(_traces(g, ADJACENCY, cutoff))
 
 
 def laplacian_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
     """Traces of L^1..L^cutoff: entry k-1 is the trace at index k."""
-    return tuple(trace_powers(laplacian(g), cutoff))
+    return tuple(_traces(g, LAPLACIAN, cutoff))
 
 
 def degree_power_floor(g: Graph, k: int) -> int:
@@ -68,8 +68,8 @@ def gap_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
     The first two gaps vanish identically; that is asserted here because a
     violation would mean the trace computation itself broke.
     """
-    ell = trace_powers(laplacian(g), cutoff)
-    gaps = tuple(ell[k - 1] - degree_power_floor(g, k) for k in range(1, cutoff + 1))
+    gaps = tuple(trace - degree_power_floor(g, k)
+                 for k, trace in enumerate(_traces(g, LAPLACIAN, cutoff), start=1))
     for k in (1, 2):
         if k <= cutoff and gaps[k - 1] != 0:
             raise InternalConsistencyError(f"gap at index {k} is {gaps[k - 1]}, expected 0")
@@ -79,7 +79,10 @@ def gap_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
 def _traces(g: Graph, kind: str, cutoff: int) -> Iterator[int]:
     """The kind's traces at indices 1..cutoff, computed as they are pulled:
     1..4 from `_trace_prefix`, then one product per index, from the fourth
-    power on. A stream dropped by index 4 builds no matrix."""
+    power on. A stream dropped by index 4 builds no matrix. Every trace
+    sequence in the package is read from this one stream."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     yield from _trace_prefix(g, kind, min(cutoff, 4))
     if cutoff > 4:
         m = (adjacency_matrix if kind == ADJACENCY else laplacian)(g)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeopt.enumeration import enumerate_regular
 from treeopt.errors import Graph6Error, UnsupportedSizeError
 from treeopt.graphs import (
     GIRTH_INFINITE,
@@ -93,6 +94,24 @@ def test_pickle_and_copy_round_trip():
             twin.n = 4
         with pytest.raises(AttributeError):
             twin.rows = ()
+
+
+def test_replace_keeps_the_checks():
+    g = path_graph(3)
+    assert g._replace(rows=(0b110, 0b001, 0b001)) == Graph(3, (0b110, 0b001, 0b001))
+    with pytest.raises(ValueError):
+        g._replace(rows=(0b010, 0b000, 0b000))  # 0 -> 1 without 1 -> 0
+    with pytest.raises(UnsupportedSizeError):
+        g._replace(n=0)
+
+
+def test_record_hash_and_equality_on_a_class():
+    members = enumerate_regular(10, 4)
+    assert len(members) == len(set(members)) == 60
+    for g in members:
+        twin = Graph(g.n, g.rows)
+        assert hash(g) == hash((g.n, g.rows)) == hash(twin)
+        assert g == twin and g == (g.n, g.rows)
 
 
 # ---------------------------------------------------------------------------

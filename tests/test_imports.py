@@ -6,9 +6,12 @@ checks, on the standard library's `ast`. The import and public-name checks
 skip `__init__.py`: its imports are the package's exports, not uses.
 A nested function that calls itself is flagged too: it refers to itself
 through its closure cell, so each call leaves a reference cycle that only
-the garbage collector frees. The last tests check that importing the CLI
-loads no standard-library module that only some runs need, and that a run
-at two workers never loads `multiprocessing`.
+the garbage collector frees. So is immutability made by hand: a class
+that defines `__setattr__` or `__reduce__`, or a call of
+`object.__setattr__`, where a namedtuple record does the job. The last
+tests check that importing the CLI loads no standard-library module that
+only some runs need, and that a run at two workers never loads
+`multiprocessing`.
 """
 import ast
 import subprocess
@@ -205,6 +208,40 @@ def test_no_recursive_closures():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {p.name: recursive_closures(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def hand_rolled_immutability(source: str) -> list[str]:
+    """Classes that define `__setattr__` or `__reduce__`, and calls of
+    `object.__setattr__`: a record is a namedtuple, which is immutable and
+    rebuilt through its `__new__` by pickle and copy without them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [(m.lineno, f"{node.name}.{m.name}") for m in node.body
+                      if isinstance(m, FUNCTIONS) and m.name in ("__setattr__", "__reduce__")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "object"):
+            found.append((node.lineno, "object.__setattr__"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_hand_rolled_immutability():
+    source = ("class Frozen:\n    __slots__ = ('x',)\n\n"
+              "    def __init__(self, x):\n        object.__setattr__(self, 'x', x)\n\n"
+              "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n\n"
+              "    def __reduce__(self):\n        return Frozen, (self.x,)\n\n\n"
+              "class Plain:\n    def __init__(self, x):\n        setattr(self, 'x', x)\n\n"
+              "    def __getattr__(self, name):\n        return None\n")
+    assert hand_rolled_immutability(source) == [
+        "line 5: object.__setattr__", "line 7: Frozen.__setattr__", "line 10: Frozen.__reduce__"]
+
+
+def test_no_hand_rolled_immutability():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: hand_rolled_immutability(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -73,6 +73,17 @@ def test_matrix_pickle_and_copy_round_trip():
             twin.rows = ()
 
 
+def test_matrix_is_a_validated_record():
+    a = IntMatrix(((1, -2, 0), (3, 4, 5), (0, 0, 1)))
+    twin = pickle.loads(pickle.dumps(a))
+    assert twin.order == 3 and twin == a and twin.trace() == 6
+    assert a._replace(rows=((7,),)).order == 1
+    with pytest.raises(ValueError):
+        a._replace(rows=((1, 2), (3, 4), (5, 6)))  # not square
+    with pytest.raises(AttributeError):
+        a.order = 2
+
+
 def naive_mul(a, b):
     """Plain triple-loop product of two row sequences; the slow reference."""
     n = len(a)

@@ -10,6 +10,7 @@ from treeopt.graphs import (
     count_induced_p3,
     cycle_graph,
     disjoint_union,
+    from_graph6,
     is_clique_union,
     path_graph,
 )
@@ -79,6 +80,23 @@ def test_bitset_trace_prefix_matches_matrix_powers(n, mask, cutoff):
         assert prefix == tuple(trace_powers(mat, cutoff))
         rows = [list(r) for r in mat.rows]
         assert prefix == tuple(naive_trace_power(rows, k) for k in range(1, cutoff + 1))
+
+
+def test_sequences_match_trace_powers_past_the_prefix():
+    # k runs past the bitset prefix (k <= 4) into the products; C5 + C5
+    # ties with C10 in R_2(10) through k = 4, so selection reads that tail
+    c5c5 = disjoint_union(cycle_graph(5), cycle_graph(5))
+    graphs = [from_graph6("@"), *enumerate_regular(8, 3), c5c5]
+    for g in graphs:
+        k = g.n + 2
+        lap = tuple(trace_powers(laplacian(g), k))
+        assert adjacency_sequence(g, k) == tuple(trace_powers(adjacency_matrix(g), k))
+        assert laplacian_sequence(g, k) == lap
+        assert gap_sequence(g, k) == tuple(v - degree_power_floor(g, i)
+                                           for i, v in enumerate(lap, start=1))
+        for sequence in (adjacency_sequence, laplacian_sequence, gap_sequence):
+            with pytest.raises(ValueError):
+                sequence(g, 0)
 
 
 def test_gap_sequence_known():

@@ -63,7 +63,6 @@ from .graphs import (
     complement,
     complete_bipartite,
     complete_graph,
-    connected_components,
     count_induced_p3,
     count_triangles,
     cycle_graph,

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from .enumeration import canonical_relabel
 from .errors import InternalConsistencyError
-from .graphs import (Graph, complement, count_induced_p3, extend_g0, girth,
-                     girth_and_cycles, is_clique_union, is_connected)
+from .graphs import (GIRTH_INFINITE, Graph, complement, count_induced_p3, extend_g0,
+                     girth, girth_and_cycles, is_clique_union)
 from .linalg import char_poly, laplacian, spanning_tree_count
 from .sequences import gap_sequence
 
@@ -50,9 +50,7 @@ BoundReport = namedtuple("BoundReport", "bound_value exact_t slack equality_flag
 def _bound_report(g: Graph, gap_terms: list[float], c_used: int) -> BoundReport:
     n = g.n
     degs = g.degrees()
-    comp = complement(g)
-    connected = is_connected(comp)
-    exact_t = spanning_tree_count(comp) if connected else 0
+    exact_t = spanning_tree_count(complement(g))  # 0 iff the complement is disconnected
     f_val = f_of(degs, float(n))
     if f_val == 0.0:
         bound = 0.0
@@ -65,7 +63,7 @@ def _bound_report(g: Graph, gap_terms: list[float], c_used: int) -> BoundReport:
         slack=bound - exact_t,
         equality_flag=is_clique_union(g),
         c_used=c_used,
-        connected_complement=connected,
+        connected_complement=exact_t > 0,
     )
 
 
@@ -150,7 +148,7 @@ def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
         return CERTIFIED_UNIQUE
     if any(gh > g_girth for gh in other_girths):
         return INCONCLUSIVE
-    if g_girth == math.inf:  # ties among acyclic members: no cycle counts to compare
+    if g_girth == GIRTH_INFINITE:  # ties among acyclic members: no cycle counts to compare
         return INCONCLUSIVE
     window = min(2 * int(g_girth) - 1, candidate.n)
     _, cand_cyc = girth_and_cycles(candidate, window)

@@ -10,7 +10,6 @@ from the elapsed and tool_version fields.
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections import namedtuple
 
@@ -25,6 +24,7 @@ from .enumeration import (
 )
 from .errors import InternalConsistencyError
 from .graphs import (
+    GIRTH_INFINITE,
     Graph,
     complement,
     count_induced_p3,
@@ -298,7 +298,7 @@ def construct_summary(g: Graph) -> dict:
         "m": g.m,
         "degree_min": min(degs),
         "degree_max": max(degs),
-        "girth": "infinite" if gir == math.inf else gir,
+        "girth": "infinite" if gir == GIRTH_INFINITE else gir,
     }
 
 

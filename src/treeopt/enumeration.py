@@ -55,12 +55,7 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "kind n d m", defaults=(None, 
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "n": self.n}
-        if self.d is not None:
-            out["d"] = self.d
-        if self.m is not None:
-            out["m"] = self.m
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
     @property
     def warning(self) -> str | None:

@@ -66,19 +66,16 @@ class Graph(namedtuple("Graph", "n rows")):
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex i becomes perm[i]."""
-        n = self.n
+        n, old = self
         if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation of 0..n-1")
         rows = [0] * n
-        for i in range(n):
-            r = self.rows[i]
+        for i, r in enumerate(old):
             ri = 0
-            j = 0
             while r:
-                if r & 1:
-                    ri |= 1 << perm[j]
-                r >>= 1
-                j += 1
+                low = r & -r
+                ri |= 1 << perm[low.bit_length() - 1]
+                r ^= low
             rows[perm[i]] = ri
         return Graph(n, rows)
 
@@ -130,19 +127,17 @@ def from_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     n, rows = g.n, g.rows
-    bits = []
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    # the body as one int, first pair highest, as from_graph6 reads it
+    body = 0
     for j in range(1, n):
+        col = rows[j]  # bit i is the pair ij
         for i in range(j):
-            bits.append(rows[i] >> j & 1)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        chunk = bits[k:k + 6]
-        for b in chunk:
-            group = group << 1 | b
-        group <<= 6 - len(chunk)
-        out.append(chr(63 + group))
-    return "".join(out)
+            body = body << 1 | col >> i & 1
+    body <<= 6 * nbytes - nbits
+    return chr(63 + n) + "".join([chr(63 + (body >> s & 63))
+                                  for s in range(6 * nbytes - 6, -1, -6)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +266,11 @@ def count_triangles(g: Graph) -> int:
     rows = g.rows
     total = 0
     for i, ri in enumerate(rows):
-        r = ri >> (i + 1)
-        j = i + 1
+        r = ri >> (i + 1) << (i + 1)  # the neighbours above i
         while r:
-            if r & 1:
-                above = ~((1 << (j + 1)) - 1)
-                total += (ri & rows[j] & above).bit_count()
-            r >>= 1
-            j += 1
+            low = r & -r
+            r ^= low  # i's neighbours above j, the vertex of low: triangles i < j < k
+            total += (r & rows[low.bit_length() - 1]).bit_count()
     return total
 
 
@@ -290,43 +282,32 @@ def count_induced_p3(g: Graph, triangles: int | None = None) -> int:
     return sum(d * (d - 1) // 2 for d in g.degrees()) - 3 * triangles
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = 0
-    comps = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            r = frontier
-            v = 0
-            while r:
-                if r & 1:
-                    nxt |= g.rows[v]
-                r >>= 1
-                v += 1
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append([v for v in range(g.n) if comp >> v & 1])
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """One breadth-first search from vertex 0, a level at a time."""
+    rows = g.rows
+    seen = level = 1
+    while level:
+        reached = 0
+        r = level
+        while r:
+            low = r & -r
+            reached |= rows[low.bit_length() - 1]
+            r ^= low
+        level = reached & ~seen
+        seen |= level
+    return seen == (1 << g.n) - 1
 
 
 def is_clique_union(g: Graph) -> bool:
-    """True iff every connected component is complete (structural check)."""
-    for comp in connected_components(g):
-        want = 0
-        for v in comp:
-            want |= 1 << v
-        for v in comp:
-            if g.rows[v] != want ^ (1 << v):
+    """True iff every connected component is complete (structural check):
+    adjacent vertices have equal closed neighbourhoods."""
+    closed = [r | 1 << v for v, r in enumerate(g.rows)]
+    for v, r in enumerate(g.rows):
+        while r:
+            low = r & -r
+            if closed[low.bit_length() - 1] != closed[v]:
                 return False
+            r ^= low
     return True
 
 

@@ -71,9 +71,11 @@ def test_bound_dominates_exact_count_on_sweep():
         npairs = n * (n - 1) // 2
         for mask in range(1 << npairs):
             g = graph_from_mask(n, mask)
-            if not is_connected(complement(g)):
-                continue
             rep = base_bound(g)
+            assert rep.connected_complement == is_connected(complement(g)), (n, mask)
+            if not rep.connected_complement:
+                assert rep.exact_t == 0, (n, mask)
+                continue
             assert rep.exact_t <= rep.bound_value * (1 + REL), (n, mask)
             assert rep.equality_flag == is_clique_union(g)
             tight = abs(rep.bound_value - rep.exact_t) <= REL * max(rep.exact_t, 1)

@@ -14,7 +14,6 @@ from treeopt.graphs import (
     complement,
     complete_bipartite,
     complete_graph,
-    connected_components,
     count_induced_p3,
     count_triangles,
     cycle_graph,
@@ -261,8 +260,7 @@ def test_triangle_and_p3_counts_match_brute_force():
 def test_connectivity():
     assert is_connected(cycle_graph(4))
     assert not is_connected(disjoint_union(complete_graph(2), complete_graph(3)))
-    comps = connected_components(disjoint_union(complete_graph(2), empty_graph(1)))
-    assert sorted(map(sorted, comps)) == [[0, 1], [2]]
+    assert not is_connected(disjoint_union(complete_graph(2), empty_graph(1)))
     assert is_connected(complete_graph(1))
 
 
@@ -271,6 +269,51 @@ def test_is_clique_union():
     assert is_clique_union(empty_graph(4))  # K_1 components
     assert not is_clique_union(path_graph(3))
     assert not is_clique_union(cycle_graph(4))
+
+
+def reference_components(g):
+    """Vertex lists of the components, by a breadth-first search over lists."""
+    adj = [[u for u in range(g.n) if g.rows[v] >> u & 1] for v in range(g.n)]
+    comps, seen = [], set()
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, queue = [s], [s]
+        seen.add(s)
+        while queue:
+            for u in adj[queue.pop(0)]:
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+                    queue.append(u)
+        comps.append(comp)
+    return comps
+
+
+def reference_graph6(g):
+    """graph6 one pair at a time: pairs (i, j), i < j, ordered by j then i."""
+    bits = [g.rows[i] >> j & 1 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    groups = [bits[k:k + 6] for k in range(0, len(bits), 6)]
+    return chr(63 + g.n) + "".join(chr(63 + int("".join(map(str, b)), 2)) for b in groups)
+
+
+def test_bitset_queries_match_references_on_every_small_graph():
+    # every labeled graph on 1..6 vertices, against definitions that share no code
+    for n in range(1, 7):
+        pairs = all_pairs(n)
+        base = list(range(1, n, 2)) + list(range(0, n, 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_mask(n, mask)
+            comps = reference_components(g)
+            assert is_connected(g) == (len(comps) == 1), (n, mask)
+            cliques = all(g.rows[u] >> v & 1 for c in comps for u in c for v in c if u != v)
+            assert is_clique_union(g) == cliques, (n, mask)
+            assert count_triangles(g) == brute_triangles(g), (n, mask)
+            assert to_graph6(g) == reference_graph6(g), (n, mask)
+            perm = [(p + mask) % n for p in base]
+            edges = [(perm[u], perm[v]) for u, v in pairs if g.rows[u] >> v & 1]
+            assert g.relabel(perm) == Graph.from_edges(n, edges), (n, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_no_unused_private_names():
 LIBRARY_API = {
     "ladder_level", "nu_min_set", "tau_min", "base_bound", "family_tree_count",
     "abrego_feasibility", "tree_count_via_complement", "mixed_trace_identity_check",
-    "cycle_graph", "path_graph", "complete_bipartite",
+    "cycle_graph", "path_graph", "complete_bipartite", "is_connected",
 }
 
 

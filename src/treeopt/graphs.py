@@ -79,9 +79,6 @@ class Graph(namedtuple("Graph", "n rows")):
             rows[perm[i]] = ri
         return Graph(n, rows)
 
-    def __repr__(self):
-        return f"Graph({self.n}, m={self.m})"
-
 
 # ---------------------------------------------------------------------------
 # graph6 (short form)

@@ -1,9 +1,12 @@
 import json
 import pickle
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+from treeopt import certify
 from treeopt.certify import (
     EXHAUSTIVE,
     GIRTH_CERTIFICATE,
@@ -35,6 +38,7 @@ from treeopt.graphs import (
     h_family,
     to_graph6,
 )
+from treeopt.sequences import ADJACENCY
 
 from conftest import strip_timing
 
@@ -159,11 +163,40 @@ def test_duality_verified():
     assert cert.candidate is None
 
 
+def test_duality_refuted_names_each_form_on_one_side(monkeypatch, capsys):
+    real = certify.select_lex_minima
+
+    def others_on_adjacency_side(members, kind, cutoff=None):
+        minima = real(members, kind, cutoff)
+        return [g for g in members if g not in minima] if kind == ADJACENCY else minima
+
+    monkeypatch.setattr(certify, "select_lex_minima", others_on_adjacency_side)
+    cert = cmd_check_duality(6, 2)
+    lset = list(cert.winners)
+    image = cert.extra["complement_image_of_trace_minima"]
+    # the adjacency side now picks the prism, not K33, and the prism's image is C6
+    assert lset == [canonical_form(two_c3)] and image == [canonical_form(cycle_graph(6))]
+    assert cert.verdict == REFUTED
+    assert [w.opponent for w in cert.witnesses] == sorted(set(lset) ^ set(image))
+    for w in cert.witnesses:
+        assert w.divergence_index is None
+        assert (w.opponent_value, w.candidate_value) == (int(w.opponent in lset),
+                                                         int(w.opponent in image))
+    assert main(["duality", "--n", "6", "--d", "2", "--workers", "1"]) == 1
+    assert "verdict: REFUTED" in capsys.readouterr().out
+
+
 def test_duality_empty_class():
     cert = cmd_check_duality(5, 3)  # odd n*d, no members
     assert cert.verdict == VERIFIED
     assert cert.winners == () and cert.class_size == 0
     assert "warning" in cert.extra
+
+
+def test_tool_version_matches_the_project_metadata():
+    # a regex, not tomllib: tomllib is new in Python 3.11 and 3.10 is supported
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', text, re.M) == [certify.TOOL_VERSION]
 
 
 def test_payload_shape_and_worker_independence():
@@ -187,6 +220,11 @@ def test_render_text_contents():
     assert "verdict: REFUTED" in text
     assert "diverges at k=3" in text
     assert canonical_form(cycle_graph(6)) in text
+    # each extra field renders as one "key: value" line before the elapsed time
+    petersen = cmd_verify_trace_minimal(from_graph6("IheA@GUAo"), 10, 3, workers=1)
+    lines = petersen.render_text().splitlines()
+    assert lines[-2] == "girth_certificate: CERTIFIED_UNIQUE"
+    assert lines[-1].startswith("elapsed: ")
 
 
 def test_invariant_checks_reject_bad_certificates():

@@ -58,6 +58,8 @@ def test_seq_outputs(capsys):
 def test_gaps_output(capsys):
     assert main(["gaps", "--k", "4", "--g6", "Bg"]) == 0
     assert capsys.readouterr().out == "gaps k=1..4: 0 0 2 12\n"
+    assert main(["gaps", "--k", "0", "--g6", "Bg"]) == 2
+    assert capsys.readouterr() == ("", "error: --k must be at least 1\n")
 
 
 def test_verify_refuted_exit_code(capsys):
@@ -188,12 +190,15 @@ def test_enumerate_spool(tmp_path, capsys):
     ["--class", "r", "--n", "6", "--d", "9"],
     ["--class", "s", "--n", "5", "--m", "20"],
     ["--class", "s", "--n", "5", "--m", "-1"],
+    ["--class", "r", "--n", "6"],
+    ["--class", "s", "--n", "6"],
 ])
 def test_enumerate_out_of_range_is_usage_error(tmp_path, capsys, args):
     out = tmp_path / "f.g6"
     assert main(["enumerate", *args]) == 2
     assert main(["enumerate", *args, "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -296,9 +301,11 @@ def test_construct_g0pq_and_join_power(capsys):
 
 
 def test_construct_usage_error(capsys):
-    assert main(["construct", "h"]) == 2
-    assert main(["construct", "g0pq", "--g6", "C~"]) == 2
-    capsys.readouterr()
+    for args in (["h"], ["h", "--n", "63"], ["g0pq", "--g6", "C~"],
+                 ["join-power", "--g6", "A_"], ["complement"]):
+        assert main(["construct", *args]) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, args
 
 
 def test_threshold(capsys):

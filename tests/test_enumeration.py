@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import random
 from collections import Counter
 from itertools import permutations, product
@@ -558,6 +559,16 @@ def test_every_class_inside_the_caps_fits_in_one_byte_claims():
     specs += [GraphClassSpec("regular", n, d=d) for n in range(1, enumeration._REGULAR_CAP + 1)
               for d in range(n)]
     assert max(len(_class_tasks(spec)) for spec in specs) < 256
+
+
+def test_a_result_larger_than_one_read_is_reassembled(split_worker):
+    tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
+    # distinct strings, so that pickle cannot shrink the frame by memoizing
+    big = [f"member {i:06d}" for i in range(8000)]
+    assert len(pickle.dumps(big)) > 1 << 16  # more than one read of the pipe
+    split_worker(lambda task, row: big, lambda task, row: [])
+    results = list(enumeration._run_partitioned(tasks, 2, to_graph6))
+    assert big in results and all(r in (big, []) for r in results)
 
 
 def test_a_child_that_dies_mid_task_is_an_internal_fault(split_worker):

@@ -62,6 +62,10 @@ def test_graph_validates_input():
     with pytest.raises(ValueError):
         Graph(2, (1, 0))  # asymmetric rows
     with pytest.raises(ValueError):
+        Graph(2, [0])  # one row for two vertices
+    with pytest.raises(ValueError):
+        Graph(2, [4, 0])  # a bit beyond the last vertex
+    with pytest.raises(ValueError):
         Graph.from_edges(63, [])  # above the format limit
 
 
@@ -76,6 +80,9 @@ def test_relabel_moves_edges():
     g = Graph.from_edges(3, [(0, 1)])
     h = g.relabel([2, 0, 1])  # old 0 becomes 2, old 1 becomes 0
     assert h.rows[2] >> 0 & 1 and h.m == 1
+    for perm in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            g.relabel(perm)
 
 
 def test_equality_and_hash():
@@ -83,6 +90,13 @@ def test_equality_and_hash():
     b = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert a == b and hash(a) == hash(b)
     assert a != cycle_graph(4)
+
+
+def test_repr_evaluates_back_to_the_graph():
+    for g in (complete_graph(1), path_graph(3), cycle_graph(5),
+              disjoint_union(complete_graph(3), empty_graph(2))):
+        assert repr(g) == f"Graph(n={g.n}, rows={g.rows!r})"
+        assert eval(repr(g), {"Graph": Graph}) == g
 
 
 def test_pickle_and_copy_round_trip():
@@ -131,6 +145,9 @@ def test_graph6_errors_carry_offsets():
         from_graph6("")
     assert "offset 0" in str(ei.value)
     with pytest.raises(Graph6Error) as ei:
+        from_graph6("?")  # order 0
+    assert ei.value.offset == 0
+    with pytest.raises(Graph6Error) as ei:
         from_graph6("C~?")  # extra body byte
     assert "offset 2" in str(ei.value)
     assert from_graph6("C~\n") == complete_graph(4)  # whitespace is tolerated
@@ -172,6 +189,8 @@ def test_standard_families():
     assert path_graph(2).m == 1
     assert complete_bipartite(3, 3).m == 9
     assert empty_graph(3).m == 0
+    with pytest.raises(ValueError):
+        cycle_graph(2)
 
 
 def test_complement_involution():
@@ -183,6 +202,9 @@ def test_complement_involution():
 def test_disjoint_union_shifts_labels():
     g = disjoint_union(complete_graph(2), complete_graph(2))
     assert g == Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert disjoint_union(empty_graph(31), empty_graph(31)).n == 62
+    with pytest.raises(UnsupportedSizeError):
+        disjoint_union(empty_graph(31), empty_graph(32))
 
 
 def test_join_adds_all_cross_edges():
@@ -209,6 +231,10 @@ def test_extend_g0_checks_degrees():
     assert set(counts) <= {1, 2}
     with pytest.raises(ValueError):
         extend_g0(path_graph(4), 3, 1, 1)  # path has degree-1 vertices, d-1 = 2
+    with pytest.raises(ValueError, match="positive"):
+        extend_g0(g0, 0, 1, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        extend_g0(g0, 2, -1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,14 @@
 and every public name is read by the package or listed as library API.
 
 No linter is a dependency, so these are the unused-import and dead-name
-checks, on the standard library's `ast`. The import and public-name checks
-skip `__init__.py`: its imports are the package's exports, not uses.
-A nested function that calls itself is flagged too: it refers to itself
-through its closure cell, so each call leaves a reference cycle that only
-the garbage collector frees. So is immutability made by hand: a class
-that defines `__setattr__` or `__reduce__`, or a call of
-`object.__setattr__`, where a namedtuple record does the job. The last
-tests check that importing the CLI loads no standard-library module that
-only some runs need, and that a run at two workers never loads
-`multiprocessing`.
+checks, on the standard library's `ast`. A nested function that calls
+itself is flagged too: it refers to itself through its closure cell, so
+each call leaves a reference cycle that only the garbage collector frees.
+So is immutability made by hand: a class that defines `__setattr__` or
+`__reduce__`, or a call of `object.__setattr__`, where a namedtuple record
+does the job. The last tests check that importing the CLI loads no
+standard-library module that only some runs need, and that a run at two
+workers never loads `multiprocessing`.
 """
 import ast
 import subprocess
@@ -43,7 +41,7 @@ def test_checker_flags_an_unused_name():
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -104,7 +102,7 @@ def test_no_unused_private_names():
 LIBRARY_API = {
     "ladder_level", "nu_min_set", "tau_min", "base_bound", "family_tree_count",
     "abrego_feasibility", "tree_count_via_complement", "mixed_trace_identity_check",
-    "cycle_graph", "path_graph", "complete_bipartite", "is_connected",
+    "cycle_graph", "path_graph", "complete_bipartite", "is_connected", "trace_powers",
 }
 
 
@@ -167,8 +165,7 @@ def test_checker_flags_an_unread_public_assignment():
 
 
 def test_no_unread_public_names():
-    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert sources
     assert unread_public_names(sources, LIBRARY_API) == []
 

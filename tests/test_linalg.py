@@ -63,6 +63,8 @@ def test_matrix_ops():
     assert a.mul(b) == a
     with pytest.raises(ValueError):
         IntMatrix(((1, 2),))  # not square
+    with pytest.raises(ValueError):
+        a.mul(IntMatrix(((1,),)))  # orders 2 and 1
 
 
 def test_matrix_pickle_and_copy_round_trip():
@@ -208,6 +210,8 @@ def test_trace_powers():
     assert trace_powers(a, 4) == [0, 8, 0, 32]
     lap = laplacian(complete_graph(3))
     assert trace_powers(lap, 3) == [6, 18, 54]
+    with pytest.raises(ValueError):
+        trace_powers(lap, 0)
     naive = lap.rows
     for want in trace_powers(lap, 3):
         assert sum(naive[i][i] for i in range(3)) == want

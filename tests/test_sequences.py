@@ -215,3 +215,5 @@ def test_mixed_trace_identity_regular():
 def test_mixed_trace_requires_regular():
     with pytest.raises(ValueError):
         mixed_trace_identity_check(path_graph(3), 2, 1)
+    with pytest.raises(ValueError):
+        mixed_trace_identity_check(cycle_graph(5), 0, 0)  # i must be >= 1

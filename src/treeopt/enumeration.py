@@ -20,9 +20,12 @@ generator carries each child's search on from its parent's instead of
 starting it again.
 
 A class's search is split into subtree tasks by a rule blind to the worker
-count. At more than one worker, forked children and the calling process
-share the tasks (`_forked`), with no `multiprocessing` pool; results come
-back in task order, so no output depends on the worker count.
+count. One task loop (`_run_partitioned`) serves every worker count: at
+more than one worker, forked children and the calling process claim the
+tasks from one pipe, with no `multiprocessing` pool; at one worker, or
+where `os.fork` is absent, no child is forked and the calling process
+claims every task itself. Results come back in task order, so no output
+depends on the worker count.
 
 Size caps keep runs at desk scale: regular classes to n = 12, edge-count
 sweeps to n = 9. The canonical form itself is hard-capped at n = 16.
@@ -30,7 +33,6 @@ sweeps to n = 9. The canonical form itself is hard-capped at n = 16.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from collections import namedtuple
@@ -435,46 +437,33 @@ def _worker(task, row: Row = _canonical_row) -> list:
 # drivers
 
 def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
-    """Map `_worker` with `row` over search-tree tasks, yielding results in
-    task order as they land.
-
-    At one worker, or without `os.fork`, the tasks run in this process.
-    Otherwise `min(workers, len(tasks)) - 1` forked children and this
-    process share them (`_forked`).
-    """
-    work = functools.partial(_worker, row=row)
-    workers = min(workers, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        yield from map(work, tasks)
-    else:
-        yield from _forked(work, tasks, workers - 1)
-
-
-def _forked(work: Callable, tasks: list, children: int) -> Iterator[list]:
-    """`map(work, tasks)` shared by this process and `children` forked ones.
+    """`_worker` with `row` over search-tree tasks, yielding results in task
+    order as they land.
 
     Every task index goes, as one byte, into one pipe in a single write
     before any fork, so each one-byte read claims a distinct task, and the
-    pipe reads empty once all are claimed. A child ignores SIGINT (Ctrl-C
-    interrupts this process alone), runs the tasks it claims and writes
-    each result as a length-prefixed pickled frame (index, ok, result or
-    exception) to its own pipe, then leaves by `os._exit`. This process
-    claims tasks too, and reads the frames that are ready after each of
-    its own tasks; once none is left to claim, it waits on them. A child's
-    exception is raised here; a task that no child returns, because its
-    child died or could not pickle the frame, raises
-    InternalConsistencyError. Leaving early (an
-    exception, Ctrl-C, closing the generator) kills the children; every
-    child is reaped, so its CPU time counts towards this process's. Forking
-    is safe only while this process runs no other thread; the CLI starts
-    none.
+    pipe reads empty once all are claimed. `min(workers, len(tasks)) - 1`
+    forked children and this process claim from it; at one worker, or
+    without `os.fork`, no child is forked and this process claims every
+    task. A child ignores SIGINT (Ctrl-C interrupts this process alone),
+    runs the tasks it claims and writes each result as a length-prefixed
+    pickled frame (index, ok, result or exception) to its own pipe, then
+    leaves by `os._exit`. This process reads the frames that are ready after
+    each of its own tasks; once none is left to claim, it waits on them. A
+    child's exception is raised here; a task that no child returns, because
+    its child died or could not pickle the frame, raises
+    InternalConsistencyError. Leaving early (an exception, Ctrl-C, closing
+    the generator) kills the children; every child is reaped, so its CPU
+    time counts towards this process's. Forking is safe only while this
+    process runs no other thread; the CLI starts none.
     """
-    import pickle
-    import select
-    import signal
-
     if len(tasks) > 255:
         raise InternalConsistencyError(f"{len(tasks)} tasks do not fit in one-byte claims")
+    children = max(0, min(workers, len(tasks)) - 1) if hasattr(os, "fork") else 0
+    if children:
+        import pickle
+        import select
+        import signal
     claims, claim_w = os.pipe()
     os.write(claim_w, bytes(range(len(tasks))))
     os.close(claim_w)
@@ -520,7 +509,7 @@ def _forked(work: Callable, tasks: list, children: int) -> Iterator[list]:
                     while claim := os.read(claims, 1):
                         index = claim[0]
                         try:
-                            frame = (index, True, work(tasks[index]))
+                            frame = (index, True, _worker(tasks[index], row))
                         except Exception as e:
                             frame = (index, False, e)
                         data = pickle.dumps(frame)
@@ -536,7 +525,7 @@ def _forked(work: Callable, tasks: list, children: int) -> Iterator[list]:
             while index not in results:
                 claim = os.read(claims, 1)
                 if claim:
-                    results[claim[0]] = work(tasks[claim[0]])
+                    results[claim[0]] = _worker(tasks[claim[0]], row)
                     receive(0)
                 elif pending:
                     receive(None)
@@ -633,10 +622,9 @@ def ladder_level(n: int, m: int, k: int, *, workers: int = 1) -> list[Graph]:
 
 
 def nu_min_set(n: int, m: int, *, workers: int = 1) -> list[Graph]:
-    """Minimizers of the induced-path count among almost-regular members."""
+    """Minimizers of the induced-path count among almost-regular members
+    (every class in range has some)."""
     pool = enumerate_almost_regular(n, m, workers=workers)
-    if not pool:
-        return []
     vals = [count_induced_p3(g) for g in pool]
     lo = min(vals)
     return [g for g, v in zip(pool, vals) if v == lo]
@@ -691,14 +679,15 @@ def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
 def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
     """Write one canonical graph6 line per class member to `path`.
 
-    Work is split into subtree tasks; finished tasks land in
-    `path.checkpoint` as they complete, so a rerun after an interruption
-    only runs what is missing. The output goes to `path.tmp`, is synced and
-    then renamed onto `path`, and only after that is the checkpoint removed:
-    `path` holds either its old bytes or the whole class. Returns the class
-    size. A path in a missing directory, or naming a directory or any other
-    file that is not a regular one (a FIFO, a device), raises ValueError
-    before any work.
+    Work is split into subtree tasks; finished tasks are written to
+    `path.checkpoint` in task order, so a rerun after an interruption runs
+    only the tasks not written yet, which at more than one worker include
+    any that finished ahead of an earlier one. The output goes to
+    `path.tmp`, is synced and then renamed onto `path`, and only after that
+    is the checkpoint removed: `path` holds either its old bytes or the
+    whole class. Returns the class size. A path in a missing directory, or
+    naming a directory or any other file that is not a regular one (a FIFO,
+    a device), raises ValueError before any work.
     """
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
@@ -719,7 +708,8 @@ def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
         pending = [i for i in range(len(tasks)) if i not in done]
         results = _run_partitioned([tasks[i] for i in pending], workers, to_graph6)
         for i, forms in zip(pending, results, strict=True):
-            # write as soon as a task lands so interruptions lose only it
+            # written in task order: a later task that finished first waits
+            # unwritten, so an interruption loses it and a resume reruns it
             done[i] = forms
             ck.write(json.dumps({"task": i, "graphs": forms}, sort_keys=True) + "\n")
             ck.flush()

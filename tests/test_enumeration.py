@@ -551,14 +551,21 @@ def test_fork_runner_refuses_more_tasks_than_one_byte_claims_hold(monkeypatch):
 
 
 def test_every_class_inside_the_caps_fits_in_one_byte_claims():
-    # `_forked` claims each task as one byte and refuses 256 or more, so no
-    # class the caps admit may split further (the largest split is 63 tasks,
-    # S(9,13))
+    # `_run_partitioned` claims each task as one byte and refuses 256 or
+    # more, so no class the caps admit may split further (the largest split
+    # is 63 tasks, S(9,13))
     specs = [GraphClassSpec("edges", n, m=m) for n in range(1, enumeration._EDGES_CAP + 1)
              for m in range(n * (n - 1) // 2 + 1)]
     specs += [GraphClassSpec("regular", n, d=d) for n in range(1, enumeration._REGULAR_CAP + 1)
               for d in range(n)]
     assert max(len(_class_tasks(spec)) for spec in specs) < 256
+
+
+def test_without_fork_every_task_runs_in_this_process(monkeypatch):
+    tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
+    serial = list(enumeration._run_partitioned(tasks, 1, to_graph6))
+    monkeypatch.delattr(os, "fork")
+    assert list(enumeration._run_partitioned(tasks, 2, to_graph6)) == serial
 
 
 def test_a_result_larger_than_one_read_is_reassembled(split_worker):
@@ -587,6 +594,13 @@ def test_almost_regular_filter():
     whole = enumerate_by_edges(5, 4)
     rest = [g for g in whole if not degree_info(g).is_almost_regular]
     assert len(members) + len(rest) == len(whole) and rest
+
+
+def test_every_edge_class_has_an_almost_regular_member():
+    # so `nu_min_set` always has a pool to minimize over
+    for n in range(1, 8):
+        for m in range(n * (n - 1) // 2 + 1):
+            assert enumerate_almost_regular(n, m), (n, m)
 
 
 def test_ladder_level_one_is_whole_class():

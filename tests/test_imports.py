@@ -8,8 +8,9 @@ each call leaves a reference cycle that only the garbage collector frees.
 So is immutability made by hand: a class that defines `__setattr__` or
 `__reduce__`, or a call of `object.__setattr__`, where a namedtuple record
 does the job. The last tests check that importing the CLI loads no
-standard-library module that only some runs need, and that a run at two
-workers never loads `multiprocessing`.
+standard-library module that only some runs need, that a run at two
+workers never loads `multiprocessing`, and that a run that forks no child
+loads neither `pickle` nor `select`.
 """
 import ast
 import subprocess
@@ -267,3 +268,16 @@ def test_two_worker_run_loads_no_multiprocessing():
     assert run.returncode == 0, run.stderr
     # the duality verdict, then: no multiprocessing, and the fork runner did run
     assert run.stdout.splitlines()[-1] == "0 False True"
+
+
+def test_runs_that_fork_no_child_load_no_fork_runner_module():
+    # one worker, and an empty class (odd parity) at two: no child is forked
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from treeopt.cli import main; "
+            "code = main(sys.argv[2:]); "
+            "print(code, 'pickle' in sys.modules, 'select' in sys.modules)")
+    for argv in (["duality", "--n", "8", "--d", "3", "--workers", "1"],
+                 ["duality", "--n", "7", "--d", "3", "--workers", "2"]):
+        run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(PACKAGE.parent), *argv],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False False", argv

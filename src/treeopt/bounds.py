@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .enumeration import canonical_relabel
@@ -111,9 +112,9 @@ def n0_threshold(g0_order: int, d: int, c: int) -> int:
     return 2 * d + g0_order * (2 * d) ** (c + 2)
 
 
-def abrego_feasibility(n: int, delta: int, tau_value: int) -> tuple[Fraction, bool]:
-    """Exact right-hand side rho((delta+1)^2 - rho^2)/4 + (3/2) tau, and
-    whether n <= that bound. tau_value is supplied by the caller; it is the
+def abrego_feasibility(n: int, delta: int, tau_value: int) -> tuple[Rational, bool]:
+    """Exact right-hand side rho((delta+1)^2 - rho^2)/4 + (3/2) tau, as a
+    Fraction, and whether n <= that bound. tau_value is supplied by the caller; it is the
     least triangle count over the rho-regular class on delta+1+rho vertices."""
     if delta < 3:
         raise ValueError("delta must be at least 3")

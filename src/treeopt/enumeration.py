@@ -24,8 +24,8 @@ count. One task loop (`_run_partitioned`) serves every worker count: at
 more than one worker, forked children and the calling process claim the
 tasks from one pipe, with no `multiprocessing` pool; at one worker, or
 where `os.fork` is absent, no child is forked and the calling process
-claims every task itself. Results come back in task order, so no output
-depends on the worker count.
+claims every task itself. Results come back as they land, and every caller
+sorts them, so no output depends on the worker count.
 
 Size caps keep runs at desk scale: regular classes to n = 12, edge-count
 sweeps to n = 9. The canonical form itself is hard-capped at n = 16.
@@ -436,9 +436,9 @@ def _worker(task, row: Row = _canonical_row) -> list:
 # ---------------------------------------------------------------------------
 # drivers
 
-def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
-    """`_worker` with `row` over search-tree tasks, yielding results in task
-    order as they land.
+def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[tuple[int, list]]:
+    """`_worker` with `row` over search-tree tasks, yielding (task index,
+    result) as each result lands.
 
     Every task index goes, as one byte, into one pipe in a single write
     before any fork, so each one-byte read claims a distinct task, and the
@@ -450,8 +450,9 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
     pickled frame (index, ok, result or exception) to its own pipe, then
     leaves by `os._exit`. This process reads the frames that are ready after
     each of its own tasks; once none is left to claim, it waits on them. A
-    child's exception is raised here; a task that no child returns, because
-    its child died or could not pickle the frame, raises
+    child's exception is raised here; when two tasks fail, which exception
+    surfaces depends on which lands first. A task that no child returns,
+    because its child died or could not pickle the frame, raises
     InternalConsistencyError. Leaving early (an exception, Ctrl-C, closing
     the generator) kills the children; every child is reaped, so its CPU
     time counts towards this process's. Forking is safe only while this
@@ -469,11 +470,10 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
     os.close(claim_w)
     pids: list[int] = []
     pending: dict[int, bytearray] = {}  # an open result pipe -> bytes not yet framed
-    results: dict[int, list] = {}
     finished = False
 
-    def receive(timeout: float | None) -> None:
-        # wait up to `timeout` for a frame or an end, then take all that is ready
+    def receive(timeout: float | None) -> Iterator[tuple[int, list]]:
+        # wait up to `timeout` for a frame or an end, then yield all that is ready
         while pending:
             ready, _, _ = select.select(list(pending), [], [], timeout)
             if not ready:
@@ -495,7 +495,7 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
                     del buf[:size]
                     if not ok:
                         raise value
-                    results[index] = value
+                    yield index, value
 
     try:
         for _ in range(children):
@@ -521,17 +521,18 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[list]:
             pids.append(pid)
             os.close(out_w)
             pending[out] = bytearray()
-        for index in range(len(tasks)):
-            while index not in results:
-                claim = os.read(claims, 1)
-                if claim:
-                    results[claim[0]] = _worker(tasks[claim[0]], row)
-                    receive(0)
-                elif pending:
-                    receive(None)
-                else:
-                    raise InternalConsistencyError(f"task {index} was lost with its child")
-            yield results.pop(index)
+        missing = set(range(len(tasks)))
+        while missing:
+            claim = os.read(claims, 1)
+            if claim:
+                missing.remove(claim[0])
+                yield claim[0], _worker(tasks[claim[0]], row)
+            elif not pending:
+                raise InternalConsistencyError(f"task {min(missing)} was lost with its child")
+            # with nothing left to claim, wait for the next frame
+            for index, result in receive(0 if claim else None):
+                missing.remove(index)
+                yield index, result
         finished = True
     finally:
         os.close(claims)
@@ -572,7 +573,7 @@ def _class_tasks(spec: GraphClassSpec) -> list:
     else:
         raise ValueError(f"unknown class kind {spec.kind!r}")
     # one rule for both kinds, blind to the worker count: checkpoint headers
-    # and the order of results rest on it
+    # and the task numbers in their records rest on it
     depth = 2 if n >= 8 else 1
     return [(n, *state) for state in _states(n, roots, depth)]
 
@@ -586,7 +587,7 @@ def enumerate_class(spec: GraphClassSpec, *, workers: int = 1, row: Row | None =
     """
     tasks = _class_tasks(spec)
     # each task's rows come sorted: the sort only merges the runs
-    rows = [r for chunk in _run_partitioned(tasks, workers, row or _canonical_row)
+    rows = [r for _, chunk in _run_partitioned(tasks, workers, row or _canonical_row)
             for r in chunk]
     rows.sort()
     return rows if row else [g for _, g in rows]
@@ -679,10 +680,9 @@ def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
 def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
     """Write one canonical graph6 line per class member to `path`.
 
-    Work is split into subtree tasks; finished tasks are written to
-    `path.checkpoint` in task order, so a rerun after an interruption runs
-    only the tasks not written yet, which at more than one worker include
-    any that finished ahead of an earlier one. The output goes to
+    Work is split into subtree tasks; each task is written to
+    `path.checkpoint` as it finishes, so a rerun after an interruption runs
+    only the tasks not written yet. The output goes to
     `path.tmp`, is synced and then renamed onto `path`, and only after that
     is the checkpoint removed: `path` holds either its old bytes or the
     whole class. Returns the class size. A path in a missing directory, or
@@ -706,12 +706,9 @@ def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
             ck.write(json.dumps(header, sort_keys=True) + "\n")
             ck.flush()
         pending = [i for i in range(len(tasks)) if i not in done]
-        results = _run_partitioned([tasks[i] for i in pending], workers, to_graph6)
-        for i, forms in zip(pending, results, strict=True):
-            # written in task order: a later task that finished first waits
-            # unwritten, so an interruption loses it and a resume reruns it
-            done[i] = forms
-            ck.write(json.dumps({"task": i, "graphs": forms}, sort_keys=True) + "\n")
+        for j, forms in _run_partitioned([tasks[i] for i in pending], workers, to_graph6):
+            done[pending[j]] = forms
+            ck.write(json.dumps({"task": pending[j], "graphs": forms}, sort_keys=True) + "\n")
             ck.flush()
 
     forms = sorted(f for chunk in done.values() for f in chunk)

@@ -536,9 +536,10 @@ def test_forks_are_capped_at_the_task_count(monkeypatch):
     tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
     assert 2 <= len(tasks) <= 5
     forks = counting_fork(monkeypatch, len(tasks))
-    serial = list(enumeration._run_partitioned(tasks, 1, to_graph6))
+    serial = sorted(enumeration._run_partitioned(tasks, 1, to_graph6))
     assert forks == []
-    assert list(enumeration._run_partitioned(tasks, len(tasks) + 2, to_graph6)) == serial
+    # results come in landing order, so the runs compare by task index
+    assert sorted(enumeration._run_partitioned(tasks, len(tasks) + 2, to_graph6)) == serial
     assert len(forks) == len(tasks) - 1  # the parent runs tasks too
 
 
@@ -563,9 +564,9 @@ def test_every_class_inside_the_caps_fits_in_one_byte_claims():
 
 def test_without_fork_every_task_runs_in_this_process(monkeypatch):
     tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
-    serial = list(enumeration._run_partitioned(tasks, 1, to_graph6))
+    serial = sorted(enumeration._run_partitioned(tasks, 1, to_graph6))
     monkeypatch.delattr(os, "fork")
-    assert list(enumeration._run_partitioned(tasks, 2, to_graph6)) == serial
+    assert sorted(enumeration._run_partitioned(tasks, 2, to_graph6)) == serial
 
 
 def test_a_result_larger_than_one_read_is_reassembled(split_worker):
@@ -574,7 +575,7 @@ def test_a_result_larger_than_one_read_is_reassembled(split_worker):
     big = [f"member {i:06d}" for i in range(8000)]
     assert len(pickle.dumps(big)) > 1 << 16  # more than one read of the pipe
     split_worker(lambda task, row: big, lambda task, row: [])
-    results = list(enumeration._run_partitioned(tasks, 2, to_graph6))
+    results = [result for _, result in enumeration._run_partitioned(tasks, 2, to_graph6)]
     assert big in results and all(r in (big, []) for r in results)
 
 
@@ -733,6 +734,56 @@ def test_spool_resumes_from_a_torn_checkpoint(tmp_path, monkeypatch):
         # only the tasks whose records were not complete run again
         finished = max(full[:cut].count(b"\n") - 1, 0)
         assert len(calls) == ntasks - finished, cut
+
+
+def test_an_interrupted_spool_keeps_a_task_that_landed_ahead_of_an_earlier_one(
+        tmp_path, monkeypatch, split_worker):
+    import treeopt.enumeration as enum
+
+    spec = GraphClassSpec("edges", 7, m=10)
+    tasks = _class_tasks(spec)
+    assert len(tasks) >= 4
+    clean_path = tmp_path / "clean.g6"
+    spool_class(spec, str(clean_path))
+    clean = clean_path.read_bytes()
+
+    real_worker = enum._worker
+    gate, gate_w = os.pipe()
+    ran = []
+
+    def parent(task, row):
+        # the child holds task 0 or 1, so this process's second task, task 2,
+        # lands ahead of it; Ctrl-C comes during the third
+        if len(ran) == 2:
+            raise KeyboardInterrupt
+        result = real_worker(task, row)
+        ran.append(tasks.index(task))
+        return result
+
+    out = tmp_path / "s710.g6"
+    ck = tmp_path / "s710.g6.checkpoint"
+    try:
+        split_worker(lambda task, row: os.read(gate, 1), parent)
+        with pytest.raises(KeyboardInterrupt):
+            spool_class(spec, str(out), workers=2)
+    finally:
+        os.close(gate)
+        os.close(gate_w)
+    assert 2 in ran and not out.exists()
+    records = [json.loads(line) for line in ck.read_text().splitlines()[1:]]
+    assert sorted(rec["task"] for rec in records) == sorted(ran)
+
+    calls = []
+
+    def counting(task, row):
+        calls.append(tasks.index(task))
+        return real_worker(task, row)
+
+    monkeypatch.setattr(enum, "_worker", counting)
+    assert spool_class(spec, str(out)) == clean.count(b"\n")
+    assert 2 not in calls and sorted(calls + ran) == list(range(len(tasks)))
+    assert out.read_bytes() == clean
+    assert not ck.exists()
 
 
 def test_spool_replaces_its_output_atomically(tmp_path, monkeypatch):

@@ -7,14 +7,18 @@ itself is flagged too: it refers to itself through its closure cell, so
 each call leaves a reference cycle that only the garbage collector frees.
 So is immutability made by hand: a class that defines `__setattr__` or
 `__reduce__`, or a call of `object.__setattr__`, where a namedtuple record
-does the job. The last tests check that importing the CLI loads no
-standard-library module that only some runs need, that a run at two
-workers never loads `multiprocessing`, and that a run that forks no child
-loads neither `pickle` nor `select`.
+does the job. Every module-level function's annotations must evaluate
+with `typing.get_type_hints`. The last tests check that importing the CLI
+loads no standard-library module that only some runs need, that a run at
+two workers never loads `multiprocessing`, and that a run that forks no
+child loads neither `pickle` nor `select`.
 """
 import ast
+import importlib
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeopt"
@@ -241,6 +245,38 @@ def test_no_hand_rolled_immutability():
     assert modules
     found = {p.name: hand_rolled_immutability(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unresolved_annotations(modules) -> list[str]:
+    """Module-level functions whose annotations `typing.get_type_hints`
+    cannot evaluate. Under `from __future__ import annotations` they are
+    strings, so a name imported only inside a function body goes unseen
+    until something evaluates them."""
+    found = []
+    for module in modules:
+        for name, value in vars(module).items():
+            if isinstance(value, types.FunctionType) and value.__module__ == module.__name__:
+                try:
+                    typing.get_type_hints(value)
+                except NameError as e:
+                    found.append(f"{module.__name__}.{name}: {e}")
+    return found
+
+
+def test_checker_flags_an_unresolved_annotation():
+    module = types.ModuleType("sample")
+    exec("from __future__ import annotations\n"
+         "def ok(x: int) -> list[int]: ...\n"
+         "def bad(x: int) -> Fraction: ...\n", module.__dict__)
+    assert unresolved_annotations([module]) == ["sample.bad: name 'Fraction' is not defined"]
+
+
+def test_every_function_annotation_resolves():
+    names = sorted("treeopt" if p.stem == "__init__" else f"treeopt.{p.stem}"
+                   for p in PACKAGE.glob("*.py"))
+    modules = [importlib.import_module(name) for name in names]
+    assert len(modules) > 1 and any(vars(m).get("abrego_feasibility") for m in modules)
+    assert unresolved_annotations(modules) == []
 
 
 # Standard-library modules that `import treeopt.cli` must not load: record

@@ -71,6 +71,12 @@ def payload_json(payload: dict) -> str:
     return json.dumps(_decimal_strings(stamped), indent=2, sort_keys=True) + "\n"
 
 
+def _class_line(spec: dict, class_size: int) -> str:
+    """The text header naming a class spec and its size."""
+    return ("class: " + " ".join(f"{k}={v}" for k, v in spec.items())
+            + f" ({class_size} classes)")
+
+
 # One losing comparison: who beat the candidate (canonical graph6), where (the
 # 1-based sequence index, None for scalar comparisons), by what values.
 Witness = namedtuple("Witness", "opponent divergence_index opponent_value candidate_value")
@@ -113,12 +119,8 @@ class Certificate(namedtuple("Certificate", "command class_spec candidate verdic
         return payload_json(self.to_dict())
 
     def render_text(self) -> str:
-        spec = self.class_spec.to_dict()
-        lines = [
-            f"command: {self.command}",
-            "class: " + " ".join(f"{k}={v}" for k, v in spec.items())
-            + f" ({self.class_size} classes)",
-        ]
+        lines = [f"command: {self.command}",
+                 _class_line(self.class_spec.to_dict(), self.class_size)]
         if self.candidate is not None:
             lines.append(f"candidate: {self.candidate}")
         lines.append(f"verdict: {self.verdict}")
@@ -344,10 +346,7 @@ def report_to_json(report: dict) -> str:
 
 
 def report_render_text(report: dict) -> str:
-    spec = report["class_spec"]
-    head = ("class: " + " ".join(f"{k}={v}" for k, v in spec.items())
-            + f" ({report['class_size']} classes)")
-    lines = [head]
+    lines = [_class_line(report["class_spec"], report["class_size"])]
     if "h_family_rank" in report:
         lines.append(f"h-family rank: {report['h_family_rank']}")
         lines.append(f"note: {report['note']}")

@@ -39,7 +39,7 @@ from .enumeration import (
 from .errors import CapsExceededError, InternalConsistencyError
 from .graphs import complement, extend_g0, from_graph6, h_family, join_power, to_graph6
 from .linalg import spanning_tree_count
-from .sequences import adjacency_sequence, gap_sequence, laplacian_sequence
+from .sequences import ADJACENCY, LAPLACIAN, gap_sequence, trace_sequence
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -82,7 +82,7 @@ def _run_seq(ns, workers):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
-    seq = (laplacian_sequence if ns.kind == "lap" else adjacency_sequence)(g, ns.k)
+    seq = trace_sequence(g, LAPLACIAN if ns.kind == "lap" else ADJACENCY, ns.k)
     vals = " ".join(str(v) for v in seq)
     return _plain({"command": "seq", "kind": ns.kind, "graph6": ns.g6,
                    "k": ns.k, "values": seq},

@@ -23,9 +23,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows")):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
+        if any(type(x) is not int for r in rows for x in r):  # bool too: no silent casts
+            raise TypeError("matrix entries must be int")
         return super().__new__(cls, rows)
 
     @classmethod

@@ -46,14 +46,9 @@ def _trace_prefix(g: Graph, kind: str, upto: int) -> tuple[int, ...]:
     return full[:upto]
 
 
-def adjacency_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
-    """Traces of A^1..A^cutoff: entry k-1 is the trace at index k."""
-    return tuple(_traces(g, ADJACENCY, cutoff))
-
-
-def laplacian_sequence(g: Graph, cutoff: int) -> tuple[int, ...]:
-    """Traces of L^1..L^cutoff: entry k-1 is the trace at index k."""
-    return tuple(_traces(g, LAPLACIAN, cutoff))
+def trace_sequence(g: Graph, kind: str, cutoff: int) -> tuple[int, ...]:
+    """Traces of the kind's matrix M at powers 1..cutoff: entry k-1 is tr M^k."""
+    return tuple(_traces(g, kind, cutoff))
 
 
 def degree_power_floor(g: Graph, k: int) -> int:
@@ -156,5 +151,5 @@ def mixed_trace_identity_check(g: Graph, i: int, j: int) -> tuple[int, int, bool
     for _ in range(j):
         prod = prod.mul(b)
     lhs = prod.trace()
-    rhs = (d + 1) ** j * laplacian_sequence(g, i)[-1]
+    rhs = (d + 1) ** j * trace_sequence(g, LAPLACIAN, i)[-1]
     return lhs, rhs, lhs == rhs

@@ -46,11 +46,12 @@ from treeopt.graphs import (
 from treeopt.linalg import spanning_tree_count, tree_count_via_complement
 from treeopt.sequences import (
     ADJACENCY,
+    LAPLACIAN,
     degree_power_floor,
     gap_sequence,
-    laplacian_sequence,
     mixed_trace_identity_check,
     select_lex_minima,
+    trace_sequence,
 )
 
 from conftest import are_isomorphic, brute_induced_p3, burnside_counts, strip_timing
@@ -70,7 +71,7 @@ def test_criterion_01_identity_suite(classes_by_n):
         oracle = burnside_counts(n)
         assert [by_m.get(m, 0) for m in range(len(oracle))] == oracle, n
         for g in pool:
-            ell = laplacian_sequence(g, 10)
+            ell = trace_sequence(g, LAPLACIAN, 10)
             floors = [degree_power_floor(g, k) for k in range(1, 11)]
             gaps = gap_sequence(g, 10)
             assert list(gaps) == [a - b for a, b in zip(ell, floors)]

@@ -33,7 +33,7 @@ from treeopt.graphs import (
     path_graph,
 )
 from treeopt.linalg import spanning_tree_count
-from treeopt.sequences import adjacency_sequence, laplacian_sequence
+from treeopt.sequences import ADJACENCY, LAPLACIAN, trace_sequence
 
 from conftest import graph_from_mask
 
@@ -231,20 +231,19 @@ def test_girth_shortcuts_agree_with_exhaustive_minima():
     # regular class with n <= 10: a certificate for g in R_d(n) must name the
     # unique adjacency lex minimum, and one for complement(g) in R_{n-1-d}(n)
     # the unique Laplacian lex minimum of R_d(n)
-    certified = {"adjacency": 0, "laplacian": 0}
+    certified = {ADJACENCY: 0, LAPLACIAN: 0}
     for n in range(1, 11):
         classes = [enumerate_regular(n, d) for d in range(n)]
         for d, members in enumerate(classes):
             if not members:
                 continue
             dual = classes[n - 1 - d]
-            for kind, sequence in (("adjacency", adjacency_sequence),
-                                   ("laplacian", laplacian_sequence)):
-                values = [sequence(g, n) for g in members]
+            for kind in (ADJACENCY, LAPLACIAN):
+                values = [trace_sequence(g, kind, n) for g in members]
                 least = [g for g, v in zip(members, values) if v == min(values)]
                 for g in members:
-                    probe, pool = (g, members) if kind == "adjacency" else (complement(g), dual)
+                    probe, pool = (g, members) if kind == ADJACENCY else (complement(g), dual)
                     if girth_certificate(probe, pool) != INCONCLUSIVE:
                         certified[kind] += 1
                         assert least == [g], (n, d, kind)
-    assert certified == {"adjacency": 45, "laplacian": 45}
+    assert certified == {ADJACENCY: 45, LAPLACIAN: 45}

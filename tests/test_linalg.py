@@ -86,6 +86,17 @@ def test_matrix_is_a_validated_record():
         a.order = 2
 
 
+def test_matrix_refuses_non_int_entries():
+    # a cast would truncate 1.5 to 1 and read 0.5 I as 0, the wrong polynomial
+    for bad in (((1.5, 2), (3, 4)), ((0.5, 0), (0, 0.5)), (("7",),), ((True,),)):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+    a = IntMatrix(((1, 2), (3, 4)))
+    with pytest.raises(TypeError):
+        a._replace(rows=((1, 2.0), (3, 4)))
+    assert IntMatrix([[1, 2], [3, 4]]) == a  # lists still become tuples
+
+
 def naive_mul(a, b):
     """Plain triple-loop product of two row sequences; the slow reference."""
     n = len(a)

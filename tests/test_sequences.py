@@ -19,13 +19,12 @@ from treeopt.sequences import (
     ADJACENCY,
     LAPLACIAN,
     _trace_prefix,
-    adjacency_sequence,
     degree_power_floor,
     gap_sequence,
-    laplacian_sequence,
     lex_divergence,
     mixed_trace_identity_check,
     select_lex_minima,
+    trace_sequence,
 )
 
 from conftest import graph_from_mask
@@ -51,21 +50,21 @@ two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
 
 
 def test_frozen_third_traces():
-    assert laplacian_sequence(cycle_graph(6), 3)[2] == 120
-    assert laplacian_sequence(two_c3, 3)[2] == 108
-    assert laplacian_sequence(prism(), 3)[2] == 312
-    assert laplacian_sequence(complete_bipartite(3, 3), 3)[2] == 324
-    assert adjacency_sequence(cycle_graph(6), 3)[2] == 0
-    assert adjacency_sequence(two_c3, 3)[2] == 12
+    assert trace_sequence(cycle_graph(6), LAPLACIAN, 3)[2] == 120
+    assert trace_sequence(two_c3, LAPLACIAN, 3)[2] == 108
+    assert trace_sequence(prism(), LAPLACIAN, 3)[2] == 312
+    assert trace_sequence(complete_bipartite(3, 3), LAPLACIAN, 3)[2] == 324
+    assert trace_sequence(cycle_graph(6), ADJACENCY, 3)[2] == 0
+    assert trace_sequence(two_c3, ADJACENCY, 3)[2] == 12
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 6), st.integers(0, (1 << 15) - 1), st.integers(1, 5))
 def test_traces_match_naive_matrix_power(n, mask, k):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
-    assert (laplacian_sequence(g, k)[k - 1]
+    assert (trace_sequence(g, LAPLACIAN, k)[k - 1]
             == naive_trace_power([list(r) for r in laplacian(g).rows], k))
-    assert (adjacency_sequence(g, k)[k - 1]
+    assert (trace_sequence(g, ADJACENCY, k)[k - 1]
             == naive_trace_power([list(r) for r in adjacency_matrix(g).rows], k))
 
 
@@ -90,13 +89,21 @@ def test_sequences_match_trace_powers_past_the_prefix():
     for g in graphs:
         k = g.n + 2
         lap = tuple(trace_powers(laplacian(g), k))
-        assert adjacency_sequence(g, k) == tuple(trace_powers(adjacency_matrix(g), k))
-        assert laplacian_sequence(g, k) == lap
+        assert trace_sequence(g, ADJACENCY, k) == tuple(trace_powers(adjacency_matrix(g), k))
+        assert trace_sequence(g, LAPLACIAN, k) == lap
         assert gap_sequence(g, k) == tuple(v - degree_power_floor(g, i)
                                            for i, v in enumerate(lap, start=1))
-        for sequence in (adjacency_sequence, laplacian_sequence, gap_sequence):
+        for kind in (ADJACENCY, LAPLACIAN):
             with pytest.raises(ValueError):
-                sequence(g, 0)
+                trace_sequence(g, kind, 0)
+        with pytest.raises(ValueError):
+            gap_sequence(g, 0)
+
+
+def test_trace_sequence_refuses_an_unknown_kind():
+    for cutoff in (3, 6):  # inside the bitset prefix, and past it
+        with pytest.raises(ValueError, match="'spectral'"):
+            trace_sequence(cycle_graph(6), "spectral", cutoff)
 
 
 def test_gap_sequence_known():
@@ -156,8 +163,7 @@ def _reference_lex_minima(pool, kind, cutoff=None):
     """Full sequences for every member, each compared with the overall least
     at the first index where the two differ: the minima, and per member None
     or (that index, its value, the least value there)."""
-    sequence = adjacency_sequence if kind == ADJACENCY else laplacian_sequence
-    seqs = [sequence(g, cutoff or g.n) for g in pool]
+    seqs = [trace_sequence(g, kind, cutoff or g.n) for g in pool]
     least = min(seqs)
     minima, divergences = [], []
     for g, seq in zip(pool, seqs):

@@ -201,7 +201,8 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     probe_members = enumerate_regular(n, probe_d, workers=workers)
     cand = canonical_relabel(candidate)  # once: as the adjacency probe it is a member
     cand_form = to_graph6(cand)
-    probe = cand if kind == ADJACENCY else complement(candidate)
+    probe = cand if kind == ADJACENCY else canonical_relabel(complement(candidate))
+    _locate(probe, probe_members)
     status = girth_certificate(probe, probe_members)
     if status != INCONCLUSIVE:
         extra = {"girth_certificate": status}

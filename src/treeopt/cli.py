@@ -188,10 +188,10 @@ def _run_threshold(ns, workers):
     too_large = f"n0 is too large to print for --c {ns.c}"
     # n0 >= (2d)^(c+2) >= 2^bits, which has more than 3 bits/10 digits
     # (log2 10 < 10/3): refuse before computing n0 when that is already past
-    # the interpreter's limit on the digits it converts to a string (0: none)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # the limit on the digits converted to a string (none: CPython's 4,300)
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
     bits = (ns.c + 2) * ((2 * ns.d).bit_length() - 1)
-    if min(ns.g0_order, ns.d, ns.c) >= 1 and limit and 3 * bits > 10 * limit:
+    if min(ns.g0_order, ns.d, ns.c) >= 1 and 3 * bits > 10 * limit:
         raise ValueError(too_large)
     n0 = n0_threshold(ns.g0_order, ns.d, ns.c)
     try:

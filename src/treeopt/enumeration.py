@@ -448,15 +448,16 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[tuple[int,
     task. A child ignores SIGINT (Ctrl-C interrupts this process alone),
     runs the tasks it claims and writes each result as a length-prefixed
     pickled frame (index, ok, result or exception) to its own pipe, then
-    leaves by `os._exit`. This process reads the frames that are ready after
-    each of its own tasks; once none is left to claim, it waits on them. A
-    child's exception is raised here; when two tasks fail, which exception
-    surfaces depends on which lands first. A task that no child returns,
-    because its child died or could not pickle the frame, raises
-    InternalConsistencyError. Leaving early (an exception, Ctrl-C, closing
-    the generator) kills the children; every child is reaped, so its CPU
-    time counts towards this process's. Forking is safe only while this
-    process runs no other thread; the CLI starts none.
+    leaves by `os._exit`. This process runs three phases: it claims and
+    runs tasks, reading the frames that are ready after each one; it reads
+    frames until every child has left; then a task that no frame returned
+    (its child died or could not pickle the frame) raises
+    InternalConsistencyError. A child's exception is raised here; when two
+    tasks fail, which exception surfaces depends on which lands first. Every
+    exit (the end, an exception, Ctrl-C, closing the generator) kills each
+    child, which one that has left ignores, and reaps it, so its CPU time
+    counts towards this process's. Forking is safe only while this process
+    runs no other thread; the CLI starts none.
     """
     if len(tasks) > 255:
         raise InternalConsistencyError(f"{len(tasks)} tasks do not fit in one-byte claims")
@@ -470,15 +471,15 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[tuple[int,
     os.close(claim_w)
     pids: list[int] = []
     pending: dict[int, bytearray] = {}  # an open result pipe -> bytes not yet framed
-    finished = False
+    missing = set(range(len(tasks)))
 
     def receive(timeout: float | None) -> Iterator[tuple[int, list]]:
-        # wait up to `timeout` for a frame or an end, then yield all that is ready
+        # yield frames, waiting up to `timeout` for each next one or end; with
+        # None, until every child has left
         while pending:
             ready, _, _ = select.select(list(pending), [], [], timeout)
             if not ready:
                 return
-            timeout = 0
             for fd in ready:
                 data = os.read(fd, 1 << 16)
                 if not data:  # the child has left
@@ -495,6 +496,7 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[tuple[int,
                     del buf[:size]
                     if not ok:
                         raise value
+                    missing.remove(index)
                     yield index, value
 
     try:
@@ -521,26 +523,19 @@ def _run_partitioned(tasks: list, workers: int, row: Row) -> Iterator[tuple[int,
             pids.append(pid)
             os.close(out_w)
             pending[out] = bytearray()
-        missing = set(range(len(tasks)))
-        while missing:
-            claim = os.read(claims, 1)
-            if claim:
-                missing.remove(claim[0])
-                yield claim[0], _worker(tasks[claim[0]], row)
-            elif not pending:
-                raise InternalConsistencyError(f"task {min(missing)} was lost with its child")
-            # with nothing left to claim, wait for the next frame
-            for index, result in receive(0 if claim else None):
-                missing.remove(index)
-                yield index, result
-        finished = True
+        while claim := os.read(claims, 1):
+            missing.remove(claim[0])
+            yield claim[0], _worker(tasks[claim[0]], row)
+            yield from receive(0)
+        yield from receive(None)
+        if missing:
+            raise InternalConsistencyError(f"task {min(missing)} was lost with its child")
     finally:
         os.close(claims)
         for fd in pending:
             os.close(fd)
         for pid in pids:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -646,7 +641,7 @@ def tau_min(n: int, d: int, *, workers: int = 1) -> tuple[int | None, list[Graph
 # ---------------------------------------------------------------------------
 # spooling with a resumable checkpoint
 
-def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
+def _resume(ck_path: str, header: dict) -> dict[int, list[str]]:
     """Finished tasks in the checkpoint an interrupted run left behind.
 
     A final record without its newline was cut off mid-write: it is dropped
@@ -667,7 +662,8 @@ def _resume(ck_path: str, header: dict, ntasks: int) -> dict[int, list[str]]:
             rec = json.loads(ln)
             task, forms = rec["task"], rec["graphs"]
             # forms must be a sorted list of strings
-            if type(task) is not int or not 0 <= task < ntasks or forms != sorted(map(str, forms)):
+            if (type(task) is not int or not 0 <= task < header["tasks"]
+                    or forms != sorted(map(str, forms))):
                 raise ValueError("bad checkpoint record")
             done[task] = forms
     except (KeyError, TypeError, ValueError):
@@ -699,7 +695,7 @@ def spool_class(spec: GraphClassSpec, path: str, *, workers: int = 1) -> int:
     tasks = _class_tasks(spec)
     ck_path = path + CHECKPOINT_SUFFIX
     header = {"spec": spec.to_dict(), "tasks": len(tasks)}
-    done = _resume(ck_path, header, len(tasks))
+    done = _resume(ck_path, header)
 
     with open(ck_path, "a") as ck:
         if os.path.getsize(ck_path) == 0:

@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 from math import factorial, gcd
 
 import pytest
+from hypothesis import strategies as st
 
 from treeopt.graphs import Graph, to_graph6
 from treeopt.enumeration import canonical_form, enumerate_by_edges
@@ -29,6 +30,14 @@ def all_pairs(n):
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = all_pairs(n)
     return Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+
+
+@st.composite
+def small_graphs(draw, min_n=1, max_n=8):
+    """A graph on min_n..max_n vertices, any edge set."""
+    n = draw(st.integers(min_n, max_n))
+    npairs = n * (n - 1) // 2
+    return graph_from_mask(n, draw(st.integers(0, (1 << npairs) - 1)))
 
 
 def brute_cycle_count(g: Graph, length: int) -> int:

@@ -136,6 +136,14 @@ def test_family_value_raises_on_disagreement(monkeypatch):
         family_tree_count(cycle_graph(4), 2, 1, 0)
 
 
+def test_family_value_raises_on_a_fraction(monkeypatch):
+    # g0's polynomial at |V|, off by one, leaves the product formula a fraction
+    real = bounds.char_poly
+    monkeypatch.setattr(bounds, "char_poly", lambda mat: (real(mat)[0] + 1, *real(mat)[1:]))
+    with pytest.raises(InternalConsistencyError, match="is not an integer"):
+        family_tree_count(cycle_graph(4), 2, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # threshold and feasibility arithmetic
 

@@ -155,6 +155,36 @@ def test_t_optimal_h_family_note():
     assert "evidence" in cert.extra["note"]
 
 
+PETERSEN = "IheA@GUAo"
+K55 = to_graph6(complete_bipartite(5, 5))
+
+
+@pytest.mark.parametrize("mode, d, g6, dropped", [
+    ("trace-min", 3, PETERSEN, PETERSEN),
+    # the girth probe is the complement, the Petersen graph in R_3(10)
+    ("ltrace-min", 6, "IUX|}vh|G", PETERSEN),
+    # the probe 2K_5 is inconclusive, so the sweep over R_5(10) runs
+    ("ltrace-min", 5, K55, K55),
+])
+def test_a_candidate_its_class_lacks_is_an_internal_fault(monkeypatch, capsys, mode, d, g6,
+                                                          dropped):
+    real = certify.enumerate_regular
+    lost = canonical_relabel(from_graph6(dropped))
+    monkeypatch.setattr(certify, "enumerate_regular",
+                        lambda n, d, **kw: [g for g in real(n, d, **kw) if g != lost])
+    assert main(["verify", mode, "--n", "10", "--d", str(d), "--g6", g6]) == 4
+    assert capsys.readouterr() == ("", "internal fault: candidate missing from its own class\n")
+
+
+def test_a_t_candidate_its_class_lacks_is_an_internal_fault(monkeypatch, capsys):
+    real = certify.enumerate_by_edges
+    lost = canonical_form(k33)
+    monkeypatch.setattr(certify, "enumerate_by_edges",
+                        lambda n, m, **kw: [r for r in real(n, m, **kw) if r[1] != lost])
+    assert main(["verify", "t-optimal", "--n", "6", "--m", "9", "--g6", to_graph6(k33)]) == 4
+    assert capsys.readouterr() == ("", "internal fault: candidate missing from its own class\n")
+
+
 def test_duality_verified():
     cert = cmd_check_duality(6, 2)
     assert cert.verdict == VERIFIED

@@ -414,8 +414,6 @@ def _program(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
-                    reason="no limit on int-to-str digits in this interpreter")
 def test_threshold_refuses_a_huge_n0_before_computing_it():
     # (2d)^(c+2) has about 10^9 bits here: computing it takes minutes, so the
     # child runs under a 1 GiB address-space cap and a timeout
@@ -429,6 +427,20 @@ def test_threshold_refuses_a_huge_n0_before_computing_it():
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr == "error: n0 is too large to print for --c 30000000\n"
+
+
+def test_threshold_refuses_a_huge_n0_without_a_digit_limit():
+    # with no limit set, the refusal reads CPython's default of 4,300 digits;
+    # computing (2d)^(c+2) in full here would outlast the timeout
+    pytest.importorskip("resource")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from treeopt.cli import main\n"
+            "sys.exit(main(['threshold', '--g0-order', '1', '--d', '3', '--c', '1000000']))\n")
+    run = _program("-X", "int_max_str_digits=0", "-c", code, timeout=20)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "error: n0 is too large to print for --c 1000000\n"
 
 
 def test_program_run_freezes_the_import_time_heap():

@@ -53,14 +53,8 @@ from conftest import (
     counting_fork,
     graph_from_mask,
     labeled_regular_count,
+    small_graphs,
 )
-
-
-@st.composite
-def small_graphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    npairs = n * (n - 1) // 2
-    return graph_from_mask(n, draw(st.integers(0, (1 << npairs) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +578,19 @@ def test_a_child_that_dies_mid_task_is_an_internal_fault(split_worker):
     split_worker(lambda task, row: os._exit(0), enumeration._worker)
     with pytest.raises(InternalConsistencyError, match="was lost with its child"):
         list(enumeration._run_partitioned(tasks, 2, to_graph6))
+
+
+def test_closing_the_runner_early_reaps_a_child_blocked_mid_task(split_worker):
+    tasks = _class_tasks(GraphClassSpec("regular", 10, d=4))
+    gate, gate_w = os.pipe()  # never written: the child's task never ends
+    try:
+        split_worker(lambda task, row: os.read(gate, 1), enumeration._worker)
+        run = enumeration._run_partitioned(tasks, 2, to_graph6)
+        next(run)  # this process's first task
+        run.close()  # kills and reaps the child, or hangs until the 60 s alarm
+    finally:
+        os.close(gate)
+        os.close(gate_w)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from treeopt.enumeration import enumerate_regular
 from treeopt.errors import Graph6Error, UnsupportedSizeError
@@ -40,15 +39,8 @@ from conftest import (
     brute_induced_p3,
     brute_triangles,
     graph_from_mask,
+    small_graphs,
 )
-
-
-@st.composite
-def small_graphs(draw, min_n=1, max_n=8):
-    n = draw(st.integers(min_n, max_n))
-    npairs = n * (n - 1) // 2
-    mask = draw(st.integers(0, (1 << npairs) - 1))
-    return graph_from_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------

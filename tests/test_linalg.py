@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeopt import linalg
+from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
     complete_bipartite,
     complete_graph,
@@ -214,6 +216,14 @@ def test_tree_count_via_complement_value():
     # evaluation route: t(G) = P_complement(n) / n^2 on an exact division
     assert tree_count_via_complement(complete_bipartite(3, 3)) == 81
     assert tree_count_via_complement(complete_graph(1)) == 1
+
+
+def test_tree_count_via_complement_checks_its_division(monkeypatch):
+    # the complement's polynomial at n, off by one, is no multiple of n^2
+    real = linalg.char_poly
+    monkeypatch.setattr(linalg, "char_poly", lambda mat: (real(mat)[0] + 1, *real(mat)[1:]))
+    with pytest.raises(InternalConsistencyError, match="not divisible by 36"):
+        tree_count_via_complement(complete_bipartite(3, 3))
 
 
 def test_trace_powers():

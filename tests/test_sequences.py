@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeopt import sequences
+from treeopt.cli import main
 from treeopt.enumeration import enumerate_by_edges, enumerate_regular
+from treeopt.errors import InternalConsistencyError
 from treeopt.graphs import (
     Graph,
     complete_bipartite,
@@ -13,6 +16,7 @@ from treeopt.graphs import (
     from_graph6,
     is_clique_union,
     path_graph,
+    to_graph6,
 )
 from treeopt.linalg import adjacency_matrix, laplacian, trace_powers
 from treeopt.sequences import (
@@ -109,6 +113,22 @@ def test_trace_sequence_refuses_an_unknown_kind():
 def test_gap_sequence_known():
     assert gap_sequence(path_graph(3), 4) == (0, 0, 2, 12)
     assert gap_sequence(complete_graph(4), 6) == (0,) * 6  # clique
+
+
+def test_gaps_that_do_not_vanish_are_an_internal_fault(monkeypatch, capsys):
+    real = _trace_prefix
+
+    def off_by_two(g, kind, upto):  # tr L^2 off by 2
+        traces = list(real(g, kind, upto))
+        if kind == LAPLACIAN and upto >= 2:
+            traces[1] += 2
+        return tuple(traces)
+
+    monkeypatch.setattr(sequences, "_trace_prefix", off_by_two)
+    with pytest.raises(InternalConsistencyError, match="gap at index 2 is 2, expected 0"):
+        gap_sequence(cycle_graph(5), 4)
+    assert main(["gaps", "--k", "4", "--g6", to_graph6(cycle_graph(5))]) == 4
+    assert capsys.readouterr() == ("", "internal fault: gap at index 2 is 2, expected 0\n")
 
 
 def test_gap_identities_on_samples():

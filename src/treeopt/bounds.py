@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .enumeration import canonical_relabel
 from .errors import InternalConsistencyError
 from .graphs import (GIRTH_INFINITE, Graph, complement, count_induced_p3, extend_g0,
                      girth, girth_and_cycles, is_clique_union)
@@ -109,7 +108,7 @@ def n0_threshold(g0_order: int, d: int, c: int) -> int:
     exponent from the remark coincides with c + 2, so one formula serves."""
     if g0_order < 0 or d < 1 or c < 1:
         raise ValueError("need g0_order >= 0, d >= 1, c >= 1")
-    return 2 * d + g0_order * (2 * d) ** (c + 2)
+    return 2 * d + (g0_order and g0_order * (2 * d) ** (c + 2))  # no power when g0 is empty
 
 
 def abrego_feasibility(n: int, delta: int, tau_value: int) -> tuple[Rational, bool]:
@@ -126,34 +125,26 @@ def abrego_feasibility(n: int, delta: int, tau_value: int) -> tuple[Rational, bo
     return rhs, n <= rhs
 
 
-def girth_certificate(candidate: Graph, members: Iterable[Graph]) -> str:
-    """Cheap minimality certificate from girth and cycle counts.
+def girth_certificate(candidate: Graph, rivals: Sequence[Graph]) -> str:
+    """Cheap minimality certificate from girth and cycle counts, which are
+    isomorphism invariants, against the other members of the candidate's class.
 
-    CERTIFIED_UNIQUE when the candidate is the unique girth maximizer of its
-    class; CERTIFIED_BY_CYCLE_COUNTS when every other member's first
-    diverging cycle count (lengths 3..2*girth-1) is strictly larger;
-    INCONCLUSIVE otherwise. Inconclusive is not a refutation.
-
-    Members are canonical representatives, one per isomorphism class, as
-    the enumerators emit them: the member equal to the candidate's canonical
-    relabeling, or to the candidate itself, is the candidate.
+    CERTIFIED_UNIQUE when the candidate's girth exceeds every rival's;
+    CERTIFIED_BY_CYCLE_COUNTS when every rival of equal girth has a larger
+    first diverging cycle count (lengths 3..2*girth-1); INCONCLUSIVE
+    otherwise. Inconclusive is not a refutation.
     """
-    pool = list(members)
-    canon = candidate if candidate in pool else canonical_relabel(candidate)
-    others = [g for g in pool if g != canon]
-    if len(others) == len(pool):
-        raise ValueError("candidate is not among the members, which must be canonical")
     g_girth = girth(candidate)
-    other_girths = [girth(h) for h in others]
-    if all(gh < g_girth for gh in other_girths):
+    rival_girths = [girth(h) for h in rivals]
+    if all(gh < g_girth for gh in rival_girths):
         return CERTIFIED_UNIQUE
-    if any(gh > g_girth for gh in other_girths):
+    if any(gh > g_girth for gh in rival_girths):
         return INCONCLUSIVE
-    if g_girth == GIRTH_INFINITE:  # ties among acyclic members: no cycle counts to compare
+    if g_girth == GIRTH_INFINITE:  # a tie with an acyclic rival: no cycle counts to compare
         return INCONCLUSIVE
     window = min(2 * int(g_girth) - 1, candidate.n)
     _, cand_cyc = girth_and_cycles(candidate, window)
-    for h, gh in zip(others, other_girths):
+    for h, gh in zip(rivals, rival_girths):
         if gh < g_girth:
             continue  # diverges at its own girth, in the candidate's favor
         _, h_cyc = girth_and_cycles(h, window)

@@ -202,8 +202,8 @@ def _verify_lex_minimal(kind: str, candidate: Graph, n: int, d: int,
     cand = canonical_relabel(candidate)  # once: as the adjacency probe it is a member
     cand_form = to_graph6(cand)
     probe = cand if kind == ADJACENCY else canonical_relabel(complement(candidate))
-    _locate(probe, probe_members)
-    status = girth_certificate(probe, probe_members)
+    at = _locate(probe, probe_members)
+    status = girth_certificate(probe, probe_members[:at] + probe_members[at + 1:])
     if status != INCONCLUSIVE:
         extra = {"girth_certificate": status}
         if kind == LAPLACIAN:

@@ -176,6 +176,23 @@ def test_a_candidate_its_class_lacks_is_an_internal_fault(monkeypatch, capsys, m
     assert capsys.readouterr() == ("", "internal fault: candidate missing from its own class\n")
 
 
+@pytest.mark.parametrize("mode, d, g6", [
+    ("trace-min", 3, PETERSEN),
+    # the probe is the complement of the candidate, the Petersen graph
+    ("ltrace-min", 6, "IUX|}vh|G"),
+])
+def test_the_girth_certificate_takes_the_probe_s_rivals(monkeypatch, capsys, mode, d, g6):
+    calls = []
+    real = certify.girth_certificate
+    monkeypatch.setattr(certify, "girth_certificate",
+                        lambda probe, rivals: calls.append((probe, rivals)) or real(probe, rivals))
+    assert main(["verify", mode, "--n", "10", "--d", str(d), "--g6", g6]) == 0
+    assert "CERTIFIED_UNIQUE" in capsys.readouterr().out
+    [(probe, rivals)] = calls
+    assert probe == canonical_relabel(from_graph6(PETERSEN)) and probe not in rivals
+    assert sorted(rivals + [probe]) == sorted(certify.enumerate_regular(10, 3))
+
+
 def test_a_t_candidate_its_class_lacks_is_an_internal_fault(monkeypatch, capsys):
     real = certify.enumerate_by_edges
     lost = canonical_form(k33)
@@ -375,8 +392,8 @@ def test_verify_encodes_each_member_once(monkeypatch):
 def test_verify_canonicalizes_the_candidate_once(monkeypatch):
     calls = _count_calls(monkeypatch, canonical_relabel)
     petersen = from_graph6("IheA@GUAo")
-    # the canonical candidate is the adjacency probe, a member of its class,
-    # so the girth certificate takes it without a second canonicalization
+    # the canonical candidate is the adjacency probe, located among the members
+    # of its class as it is; the girth certificate canonicalizes nothing
     assert cmd_verify_trace_minimal(petersen, 10, 3, workers=1).method == GIRTH_CERTIFICATE
     assert calls == [(petersen,)]
     k5k5 = from_graph6("I~{?GKF@w")

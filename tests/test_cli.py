@@ -429,6 +429,19 @@ def test_threshold_refuses_a_huge_n0_before_computing_it():
     assert run.stderr == "error: n0 is too large to print for --c 30000000\n"
 
 
+def test_threshold_of_an_empty_g0_computes_no_power():
+    # n0 = 2d when g0 is empty, and the refusal does not apply: (2d)^(c+2)
+    # here has about 2.6 * 10^8 bits, which would outlast the timeout
+    pytest.importorskip("resource")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from treeopt.cli import main\n"
+            "sys.exit(main(['threshold', '--g0-order', '0', '--d', '3', '--c', '100000000']))\n")
+    run = _program("-c", code, timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "n0 = 6\n"
+
+
 def test_threshold_refuses_a_huge_n0_without_a_digit_limit():
     # with no limit set, the refusal reads CPython's default of 4,300 digits;
     # computing (2d)^(c+2) in full here would outlast the timeout

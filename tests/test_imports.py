@@ -8,7 +8,8 @@ each call leaves a reference cycle that only the garbage collector frees.
 So is immutability made by hand: a class that defines `__setattr__` or
 `__reduce__`, or a call of `object.__setattr__`, where a namedtuple record
 does the job. Every module-level function's annotations must evaluate
-with `typing.get_type_hints`. The last tests check that importing the CLI
+with `typing.get_type_hints`. The package is layered: a module imports
+only modules listed before it in `LAYERS`. The last tests check that importing the CLI
 loads no standard-library module that only some runs need, that a run at
 two workers never loads `multiprocessing`, and that a run that forks no
 child loads neither `pickle` nor `select`.
@@ -173,6 +174,40 @@ def test_no_unread_public_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert sources
     assert unread_public_names(sources, LIBRARY_API) == []
+
+
+# The package's modules, lowest layer first.
+LAYERS = ["errors", "graphs", "linalg", "sequences", "bounds", "enumeration", "certify", "cli"]
+
+
+def layer_violations(sources: dict[str, str], layers: list[str]) -> list[str]:
+    """Relative `from .x import` statements, anywhere in a module, that name
+    a module which `layers` does not list before the importing one."""
+    found = []
+    for module, source in sources.items():
+        below = set(layers[:layers.index(module)])
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                found += [f"{module} line {node.lineno}: {target}" for target in targets
+                          if target.split(".")[0] not in below]
+    return found
+
+
+def test_checker_flags_an_import_from_a_higher_layer():
+    sources = {
+        "low": "from .high import x\n",
+        "mid": "from .low import y\n\n\ndef f():\n    from . import mid, high\n",
+        "high": "from .low import y\nfrom .mid import z\n",
+    }
+    assert layer_violations(sources, ["low", "mid", "high"]) == [
+        "low line 1: high", "mid line 5: mid", "mid line 5: high"]
+
+
+def test_modules_import_only_lower_layers():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert sorted(sources) == sorted(LAYERS)
+    assert layer_violations(sources, LAYERS) == []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -78,11 +78,36 @@ def _run_count(ns, workers):
                   f"t = {t}\n")
 
 
+def _refuse_past_digit_limit(what: str, factor: int, base: int, exp: int) -> None:
+    """Raise the usage error `what` when factor * base**exp (factor, exp >= 1),
+    a bound on the largest number a command builds, could have more digits
+    than the interpreter prints: its limit, else CPython's 4,300. As
+    3 < log2 10 < 10/3, bit lengths settle all but powers of under about
+    20/3 limit bits, and the exact comparison builds those."""
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    low = factor.bit_length() - 1 + exp * (base.bit_length() - 1)  # 2^low <= the product
+    high = factor.bit_length() + exp * base.bit_length()  # the product < 2^high
+    if 3 * low >= 10 * limit or (high > 3 * limit and factor * base ** exp >= 10 ** limit):
+        raise ValueError(what)
+
+
+def _trace_radius(g, kind: str) -> int:
+    """rho with |tr M^k| <= n rho^k for the kind's matrix M: A's eigenvalues
+    are at most the largest degree D in size, L's at most 2D and n (as
+    L(G) + L(complement) = nI - J), and a gap's degree floor is at most
+    n (D + 1)^k, within the Laplacian bound."""
+    top = max(g.degrees())
+    return top if kind == ADJACENCY else min(2 * top, g.n)
+
+
 def _run_seq(ns, workers):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
-    seq = trace_sequence(g, LAPLACIAN if ns.kind == "lap" else ADJACENCY, ns.k)
+    kind = LAPLACIAN if ns.kind == "lap" else ADJACENCY
+    _refuse_past_digit_limit(f"{ns.kind} traces are too large to print for --k {ns.k}",
+                             g.n, _trace_radius(g, kind), ns.k)
+    seq = trace_sequence(g, kind, ns.k)
     vals = " ".join(str(v) for v in seq)
     return _plain({"command": "seq", "kind": ns.kind, "graph6": ns.g6,
                    "k": ns.k, "values": seq},
@@ -93,6 +118,8 @@ def _run_gaps(ns, workers):
     g = from_graph6(ns.g6)
     if ns.k < 1:
         raise ValueError("--k must be at least 1")
+    _refuse_past_digit_limit(f"gaps are too large to print for --k {ns.k}",
+                             g.n, _trace_radius(g, LAPLACIAN), ns.k)
     gaps = gap_sequence(g, ns.k)
     vals = " ".join(str(v) for v in gaps)
     return _plain({"command": "gaps", "graph6": ns.g6, "k": ns.k, "values": gaps},
@@ -169,6 +196,10 @@ def _run_enumerate(ns, workers):
 
 def _run_bound(ns, workers):
     g = from_graph6(ns.g6)
+    if ns.c < 1:
+        raise ValueError("--c must be at least 1")
+    _refuse_past_digit_limit(f"gaps are too large for --c {ns.c}",
+                             g.n, _trace_radius(g, LAPLACIAN), ns.c)
     report = improved_bound(g, ns.c)
     payload = {"command": "bound", "graph6": ns.g6, **report._asdict()}
     text = (f"bound (c={report.c_used}): {report.bound_value!r}\n"
@@ -185,22 +216,13 @@ def _run_report(ns, workers):
 
 
 def _run_threshold(ns, workers):
-    too_large = f"n0 is too large to print for --c {ns.c}"
-    # n0 >= (2d)^(c+2) >= 2^bits, which has more than 3 bits/10 digits
-    # (log2 10 < 10/3): refuse before computing n0 when that is already past
-    # the limit on the digits converted to a string (none: CPython's 4,300)
-    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
-    bits = (ns.c + 2) * ((2 * ns.d).bit_length() - 1)
-    if min(ns.g0_order, ns.d, ns.c) >= 1 and 3 * bits > 10 * limit:
-        raise ValueError(too_large)
+    if min(ns.g0_order, ns.d, ns.c) >= 1:  # n0 = 2d + g0 (2d)^(c+2) <= (g0 + 1)(2d)^(c+2)
+        _refuse_past_digit_limit(f"n0 is too large to print for --c {ns.c}",
+                                 ns.g0_order + 1, 2 * ns.d, ns.c + 2)
     n0 = n0_threshold(ns.g0_order, ns.d, ns.c)
-    try:
-        value = str(n0)
-    except ValueError:  # more digits than the interpreter converts to a string
-        raise ValueError(too_large) from None
     return _plain({"command": "threshold", "g0_order": ns.g0_order,
-                   "d": ns.d, "c": ns.c, "n0": value},
-                  f"n0 = {value}\n")
+                   "d": ns.d, "c": ns.c, "n0": n0},
+                  f"n0 = {n0}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

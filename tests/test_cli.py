@@ -313,8 +313,6 @@ def test_threshold(capsys):
     assert capsys.readouterr().out == "n0 = 2568\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="no limit on int-to-str digits in this interpreter")
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_threshold_too_large_to_print_is_usage_error(capsys, fmt):
     # n0 = 2 + 2 * 2**100002 has about 30,000 digits, past the default limit of 4,300
@@ -325,12 +323,10 @@ def test_threshold_too_large_to_print_is_usage_error(capsys, fmt):
     assert captured.err == "error: n0 is too large to print for --c 100000\n"
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
-                    reason="no limit on int-to-str digits in this interpreter")
 def test_threshold_near_the_digit_limit(capsys):
-    # with d = 1, n0 = 2 + 2**(c + 2): the early refusal needs c + 2 > 10/3
-    # of the limit, and str() already refuses a little below that
-    limit = sys.get_int_max_str_digits()
+    # with d = 1, n0 = 2 + 2**(c + 2) and the refusal compares 2**(c + 3) with
+    # 10**limit: it holds from c + 3 > log2(10) * limit, under 10/3 of the limit
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
     c = limit * 10 // 3 - 2
     assert main(["threshold", "--g0-order", "1", "--d", "1", "--c", str(c)]) == 2
     assert capsys.readouterr().err == f"error: n0 is too large to print for --c {c}\n"
@@ -352,6 +348,26 @@ def test_bound_output(capsys):
     out = capsys.readouterr().out
     assert "equality: True" in out
     assert "exact t(complement): 4" in out
+
+
+def test_bound_names_its_flag(capsys):
+    assert main(["bound", "--c", "0", "--g6", g6_2k2]) == 2
+    assert capsys.readouterr().err == "error: --c must be at least 1\n"
+
+
+def test_digit_rule_is_exact_on_its_bound(monkeypatch):
+    # refused exactly when factor * base**exp has more than `limit` digits,
+    # across the bit-length shortcuts on both sides and the exact band between
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50, raising=False)
+    for factor in (1, 2, 3, 7, 30, 1000):
+        for base in range(70):
+            for exp in range(1, 180):
+                try:
+                    cli._refuse_past_digit_limit("too large", factor, base, exp)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert refused == (factor * base ** exp >= 10 ** 50), (factor, base, exp)
 
 
 def test_report_text_and_structured(capsys):
@@ -454,6 +470,51 @@ def test_threshold_refuses_a_huge_n0_without_a_digit_limit():
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr == "error: n0 is too large to print for --c 1000000\n"
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["seq", "--kind", "adj", "--k", "3000", "--g6", to_graph6(complete_graph(30))], "--k 3000"),
+    (["gaps", "--k", "3000", "--g6", to_graph6(complete_graph(30))], "--k 3000"),
+    (["bound", "--c", "100000", "--g6", "IheA@GUAo"], "--c 100000"),  # the Petersen graph
+], ids=["seq-adj-k30", "gaps-k30", "bound-petersen"])
+def test_power_sized_terms_are_refused_before_computing_them(args, flag):
+    # the k-th term bound n rho^k passes 4,300 digits: computing the terms
+    # takes a minute or more, so the child runs under a 1 GiB address-space
+    # cap and a timeout
+    pytest.importorskip("resource")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from treeopt.cli import main\n"
+            f"sys.exit(main({args!r}))\n")
+    run = _program("-c", code, timeout=20)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert run.stderr.endswith(f" for {flag}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-to-str digits in this interpreter")
+@pytest.mark.parametrize("args, last, tail", [
+    (["seq", "--kind", "adj", "--k"], 1340, f" {3 ** 1340 + 3}\n"),
+    (["seq", "--kind", "lap", "--k"], 1062, f" {3 * 4 ** 1062}\n"),
+    (["gaps", "--k"], 1062, " 0 0 0\n"),
+    (["bound", "--c"], 1062, "equality: True\nconnected complement: False\n"),
+], ids=["seq-adj", "seq-lap", "gaps", "bound"])
+def test_digit_rule_boundary_on_k4(args, last, tail):
+    # K4 has n = 4 and largest degree 3: the rule compares 4 * 3^k (adjacency)
+    # or 4 * 4^k (Laplacian) with 10^640, so it admits `last` and refuses the
+    # next k, though K4's adjacency trace 3^1341 - 3 has only 640 digits
+    flag = args[-1]
+    run = _program("-X", "int_max_str_digits=640", "-m", "treeopt.cli",
+                   *args, str(last), "--g6", "C~")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith(tail)
+    run = _program("-X", "int_max_str_digits=640", "-m", "treeopt.cli",
+                   *args, str(last + 1), "--g6", "C~")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.endswith(f" for {flag} {last + 1}\n")
 
 
 def test_program_run_freezes_the_import_time_heap():

@@ -8,7 +8,8 @@ each call leaves a reference cycle that only the garbage collector frees.
 So is immutability made by hand: a class that defines `__setattr__` or
 `__reduce__`, or a call of `object.__setattr__`, where a namedtuple record
 does the job. Every module-level function's annotations must evaluate
-with `typing.get_type_hints`. The package is layered: a module imports
+with `typing.get_type_hints`, and one function alone reads the
+interpreter's digit limit. The package is layered: a module imports
 only modules listed before it in `LAYERS`. The last tests check that importing the CLI
 loads no standard-library module that only some runs need, that a run at
 two workers never loads `multiprocessing`, and that a run that forks no
@@ -312,6 +313,43 @@ def test_every_function_annotation_resolves():
     modules = [importlib.import_module(name) for name in names]
     assert len(modules) > 1 and any(vars(m).get("abrego_feasibility") for m in modules)
     assert unresolved_annotations(modules) == []
+
+
+DIGIT_LIMIT = "get_int_max_str_digits"
+
+
+def digit_limit_readers(sources: dict[str, str]) -> list[str]:
+    """Where `sources` name the interpreter's digit limit, as an attribute,
+    a name, an import or a string (`getattr(sys, "...")`): the enclosing
+    module-level function or class, or `<module>` for module-level code."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (*FUNCTIONS, ast.ClassDef)) else "<module>"
+            if any(isinstance(n, ast.Attribute) and n.attr == DIGIT_LIMIT
+                   or isinstance(n, ast.Name) and n.id == DIGIT_LIMIT
+                   or isinstance(n, ast.alias) and n.name == DIGIT_LIMIT
+                   or isinstance(n, ast.Constant) and n.value == DIGIT_LIMIT
+                   for n in ast.walk(node)):
+                found.append(f"{module}: {owner}")
+    return found
+
+
+def test_checker_flags_every_digit_limit_reader():
+    sources = {
+        "a.py": ("import sys\nLIMIT = sys.get_int_max_str_digits()\n\n\n"
+                 "def one():\n    return getattr(sys, 'get_int_max_str_digits', int)()\n\n\n"
+                 "def other():\n    return sys.set_int_max_str_digits\n"),
+        "b.py": ("from sys import get_int_max_str_digits\n\n\n"
+                 "class Box:\n    def size(self):\n        return get_int_max_str_digits()\n"),
+    }
+    assert digit_limit_readers(sources) == ["a.py: <module>", "a.py: one",
+                                            "b.py: <module>", "b.py: Box"]
+
+
+def test_one_function_reads_the_digit_limit():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert digit_limit_readers(sources) == ["cli.py: _refuse_past_digit_limit"]
 
 
 # Standard-library modules that `import treeopt.cli` must not load: record
